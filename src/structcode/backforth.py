@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (And, BigAnd, BigOr, Eq, Exists, FinLinOrder, Forall, Not,
-                   Or, PreconditionError, Rel, conj, disj)
+from .core import (BigAnd, BigOr, Eq, Exists, FinLinOrder, Forall, Not, Or,
+                   PreconditionError, Rel, conj, disj)
 from .fslin import fs_compare, mentions, min_length_in_interval, shape, sort_elements
 
 

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import core, formats
+from . import formats
 from .backforth import (bf_equiv, distinguishing_move, interval_equiv,
                         lg_certify, lg_concat_certify, phi_pair, phi_tuple)
 from .codings import (daisy_decode, daisy_encode, shuffle_build,
@@ -21,9 +21,8 @@ from .codings import (daisy_decode, daisy_encode, shuffle_build,
 from .core import (Digraph, FinLinOrder, LoopedDigraph, MalformedInputError,
                    PreconditionError, UGraph, classify)
 from .denseq import Dyadic
-from .fslin import (block_of, fs_compare, fs_element, fs_enumerate, fs_member,
-                    mentions, min_length_in_interval, shape, shape_formulas,
-                    shift_tuple)
+from .fslin import (block_of, fs_compare, fs_enumerate, mentions,
+                    min_length_in_interval, shape, shape_formulas, shift_tuple)
 from .interp import builtin_int_in_nat, check_interpretation, marker_interp, trivial_interp
 from .marker import MarkerStreamDecoder, marker_decode, marker_encode
 

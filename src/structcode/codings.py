@@ -191,14 +191,14 @@ def shuffle_build(labels, include_omega, resolution):
 
 
 def census(fragment, scale=1):
-    """Labels present in each dyadic sub-interval at the given scale."""
+    """Labels present in each dyadic sub-interval [c, c+1) / 2**scale."""
     out = {}
     for c in range(1 << scale):
-        lo, hi = c / (1 << scale), (c + 1) / (1 << scale)
         seen = set()
         for blk in fragment.blocks:
-            v = blk.point.num / (1 << blk.point.exp)
-            if lo < v < hi or lo == v:
+            num, exp = blk.point.num, blk.point.exp
+            # c / 2**scale <= num / 2**exp < (c+1) / 2**scale, in integers
+            if c << exp <= num << scale < (c + 1) << exp:
                 seen.add(blk.label)
         out[(c, scale)] = seen
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class StructError(ValueError):
@@ -73,16 +74,20 @@ class Structure:
 
     def matches(self, name, pattern):
         """All relation tuples consistent with ``pattern`` (None = free slot)."""
+        try:
+            tuples = self.relations[name]
+        except KeyError:
+            raise EvalError(f"unknown relation {name!r}")
         bound = tuple((i, v) for i, v in enumerate(pattern) if v is not None)
         if not bound:
-            return self.relations[name]
+            return tuples
         # index on the exact set of bound positions
         positions = tuple(i for i, _ in bound)
         key = (name, positions)
         idx = self._index.get(key)
         if idx is None:
             idx = {}
-            for t in self.relations[name]:
+            for t in tuples:
                 idx.setdefault(tuple(t[i] for i in positions), []).append(t)
             self._index[key] = idx
         return idx.get(tuple(v for _, v in bound), [])
@@ -281,7 +286,7 @@ def free_vars(phi, _cache=None):
         _cache = {}
     got = _cache.get(id(phi))
     if got is not None:
-        return got
+        return got[0]
     if isinstance(phi, Rel):
         out = frozenset(phi.args)
     elif isinstance(phi, Eq):
@@ -295,182 +300,246 @@ def free_vars(phi, _cache=None):
         out = free_vars(phi.body, _cache) - frozenset(phi.vars)
     else:
         raise EvalError(f"not a formula node: {phi!r}")
-    _cache[id(phi)] = out
+    _cache[id(phi)] = (out, phi)  # keep phi alive so its id is not reused
     return out
 
 
-class Evaluator:
-    """Brute-force truth evaluation of a formula in a finite structure.
+# Evaluation dispatches on the node type through _EVAL, a module-level table
+# of functions (evaluator, node, env) -> bool.  A per-instance table of bound
+# methods would form a reference cycle and keep discarded evaluators alive
+# until the garbage collector runs.
 
-    Quantified conjunctions are evaluated by backtracking: variables are
-    assigned one at a time and every conjunct is checked as soon as its
-    variables are bound, with candidate values drawn from relation indexes
-    where a binding conjunct is available.  With ``memo=True`` results of
-    quantified subformulas are cached per (node, restriction of the
-    environment to its free variables), which makes repeated evaluation of
-    shared subformulas cheap.
+
+class _Dispatch(dict):
+    def __missing__(self, node_type):
+        raise EvalError(f"not a formula node type: {node_type.__name__}")
+
+
+def _unbound(e):
+    return EvalError(f"unbound variable {e.args[0]!r}")
+
+
+def _ev_rel(ev, phi, env):
+    try:
+        args = tuple([env[a] for a in phi.args])
+    except KeyError as e:
+        raise _unbound(e)
+    return ev.s.rel(phi.name, args)
+
+
+def _ev_eq(ev, phi, env):
+    try:
+        return env[phi.left] == env[phi.right]
+    except KeyError as e:
+        raise _unbound(e)
+
+
+def _ev_not(ev, phi, env):
+    body = phi.body
+    return not _EVAL[type(body)](ev, body, env)
+
+
+def _ev_and(ev, phi, env):
+    for p in phi.parts:
+        if not _EVAL[type(p)](ev, p, env):
+            return False
+    return True
+
+
+def _ev_or(ev, phi, env):
+    for p in phi.parts:
+        if _EVAL[type(p)](ev, p, env):
+            return True
+    return False
+
+
+_SPLICED = {True: (And, BigAnd), False: (Or, BigOr)}
+
+
+def _conjuncts(phi, want, out):
+    """Append to ``out`` the conjuncts of ``phi`` (of its negation when
+    ``want`` is False), as pairs ``(node, wanted truth)``.
+
+    Junctions are flattened: And/BigAnd parts are spliced in when wanted
+    true, Or/BigOr parts when wanted false, and ``Not(a)`` stands for ``a``
+    with the wanted truth flipped.
+    """
+    t = type(phi)
+    if t is Not:
+        _conjuncts(phi.body, not want, out)
+    elif t in _SPLICED[want]:
+        for p in phi.parts:
+            _conjuncts(p, want, out)
+    else:
+        out.append((phi, want))
+    return out
+
+
+def _literals_hold(literals, env, rel):
+    """Check compiled literals ``(getter, relation or None for =, want)``."""
+    for getter, name, want in literals:
+        vals = getter(env)
+        if (rel(name, vals) if name is not None else vals[0] == vals[1]) \
+                != want:
+            return False
+    return True
+
+
+def _values_of(args):
+    """A function from an environment to the tuple of values of ``args``."""
+    if len(args) >= 2:
+        return itemgetter(*args)
+    return lambda env: tuple([env[a] for a in args])
+
+
+def _join_plan(todo, conjuncts, outer):
+    """Backtracking plan for finding values of ``todo`` satisfying ``conjuncts``.
+
+    ``outer`` is the set of variables bound outside.  Returns ``(pre, steps,
+    leftovers)``: ``pre`` holds the literals the outer variables decide;
+    ``steps`` binds the variables of ``todo`` in order, each as ``(var,
+    candidates, literals)``, where the candidates are the whole universe
+    (None), the value of an equal variable (``("eq", other)``) or a
+    relation index lookup (``("rel", name, pattern, slot)``), and the
+    literals are those decided once ``var`` is bound; ``leftovers`` are the
+    other conjuncts, checked once every variable is bound.  Literals are
+    compiled as ``(getter, relation name or None for =, wanted truth)``,
+    where ``getter(env)`` gives the argument values.
+    """
+    level = dict.fromkeys(outer, -1)
+    level.update((v, i) for i, v in enumerate(todo))
+    unbound = len(todo)
+    pre, leftovers = [], []
+    cands = [None] * unbound
+    pending = [[] for _ in todo]
+    for c, want in conjuncts:
+        t = type(c)
+        if t is Rel:
+            args = c.args
+        elif t is Eq:
+            args = (c.left, c.right)
+        else:
+            leftovers.append((c, want))
+            continue
+        i = -1
+        for a in args:
+            j = level.get(a, unbound)
+            if j > i:
+                i = j
+        if i == unbound:
+            # an unbound variable: evaluating the literal raises EvalError
+            leftovers.append((c, want))
+            continue
+        if i >= 0 and want and cands[i] is None and args.count(todo[i]) == 1:
+            # a positive literal on one new variable yields exactly the
+            # values that satisfy it, so it need not be checked again
+            var = todo[i]
+            if t is Eq:
+                cands[i] = ("eq", args[1] if args[0] == var else args[0])
+            else:
+                cands[i] = ("rel", c.name,
+                            tuple(None if a == var else a for a in args),
+                            args.index(var))
+            continue
+        lit = (_values_of(args), c.name if t is Rel else None, want)
+        (pre if i < 0 else pending[i]).append(lit)
+    steps = tuple(zip(todo, cands, map(tuple, pending)))
+    return tuple(pre), steps, tuple(leftovers)
+
+
+class Evaluator:
+    """Truth evaluation of a formula in a finite structure.
+
+    Every quantifier runs as a backtracking search over a conjunction:
+    ``Exists(vs, body)`` over the conjuncts of ``body``, and ``Forall(vs,
+    body)`` as not-exists-not, over its negated disjuncts, so the ``Eq``
+    disjuncts that excuse repeated elements become distinctness checks
+    that prune the search.  Variables are bound one at a time, drawing
+    values from a relation index or an equality where a positive literal
+    allows, and each literal is checked inline as soon as it is decided
+    (see ``_join_plan``).  Plans are compiled once per (quantifier node,
+    set of bound outer variables).  With ``memo=True`` quantifier results
+    are also cached per (node, values of its free variables).  Caches
+    keyed by node identity hold the node, so no key outlives its node.
     """
 
     def __init__(self, structure, memo=False):
         self.s = structure
-        self.memo = {} if memo else None
+        self._memo = memo
         self._fv = {}
-        self._plans = {}
-        self._flat = {}
-
-    def _flatten_parts(self, parts):
-        """Nested conjunctions as one flat tuple, cached for plan reuse."""
-        got = self._flat.get(id(parts))
-        if got is None:
-            out = []
-            stack = list(reversed(parts))
-            while stack:
-                c = stack.pop()
-                if isinstance(c, (And, BigAnd)):
-                    stack.extend(reversed(c.parts))
-                else:
-                    out.append(c)
-            got = tuple(out)
-            self._flat[id(parts)] = (got, parts)  # keep parts alive for id()
-        else:
-            got = got[0]
-        return got
+        # id(quantifier node) -> (node, is Forall, variables, conjuncts,
+        # {outer variables: plan}, free variables, memo table or None)
+        self._quants = {}
 
     def eval(self, phi, env=None):
-        return self._eval(phi, dict(env or {}))
+        return _EVAL[type(phi)](self, phi, dict(env or {}))
 
-    def _eval(self, phi, env):
-        if isinstance(phi, Rel):
-            try:
-                args = tuple(env[a] for a in phi.args)
-            except KeyError as e:
-                raise EvalError(f"unbound variable {e.args[0]!r}")
-            return self.s.rel(phi.name, args)
-        if isinstance(phi, Eq):
-            try:
-                return env[phi.left] == env[phi.right]
-            except KeyError as e:
-                raise EvalError(f"unbound variable {e.args[0]!r}")
-        if isinstance(phi, Not):
-            return not self._eval(phi.body, env)
-        if isinstance(phi, (And, BigAnd)):
-            return all(self._eval(p, env) for p in phi.parts)
-        if isinstance(phi, (Or, BigOr)):
-            return any(self._eval(p, env) for p in phi.parts)
-        if isinstance(phi, Exists):
-            return self._quant(phi, env, True)
-        if isinstance(phi, Forall):
-            return self._quant(phi, env, False)
-        raise EvalError(f"not a formula node: {phi!r}")
+    def _prepare(self, phi):
+        forall = type(phi) is Forall
+        fv = memo = None
+        if self._memo:
+            fv = tuple(sorted(free_vars(phi, self._fv)))
+            memo = {}
+        entry = (phi, forall, tuple(dict.fromkeys(phi.vars)),
+                 tuple(_conjuncts(phi.body, not forall, [])), {}, fv, memo)
+        self._quants[id(phi)] = entry
+        return entry
 
-    def _quant(self, phi, env, existential):
-        key = None
-        if self.memo is not None:
-            fv = free_vars(phi, self._fv)
-            key = (id(phi), tuple(sorted((v, env[v]) for v in fv if v in env)))
-            got = self.memo.get(key)
+    def _quant(self, phi, env):
+        entry = self._quants.get(id(phi)) or self._prepare(phi)
+        _, forall, todo, conjuncts, plans, fv, memo = entry
+        if memo is not None:
+            key = tuple(map(env.get, fv))
+            got = memo.get(key)
             if got is not None:
                 return got
-        body = phi.body
-        if existential and isinstance(body, (And, BigAnd)):
-            result = self._search(list(phi.vars),
-                                  self._flatten_parts(body.parts), env)
-        else:
-            result = None
-            for vals in itertools.product(self.s.universe, repeat=len(phi.vars)):
-                sub = dict(env)
-                sub.update(zip(phi.vars, vals))
-                truth = self._eval(body, sub)
-                if existential and truth:
-                    result = True
-                    break
-                if not existential and not truth:
-                    result = False
-                    break
-            if result is None:
-                result = not existential
-        if key is not None:
-            self.memo[key] = result
-        return result
-
-    def _search(self, todo, conjuncts, env):
-        """Backtracking witness search for Exists over a conjunction.
-
-        The scheduling of candidate narrowing and conjunct checks depends
-        only on the formula and on which outer variables are bound, so it
-        is planned once per (node identity, bound-variable set) and reused
-        across evaluations.
-        """
-        plan = self._search_plan(tuple(todo), conjuncts,
-                                 frozenset(env.keys()))
+        # quantified variables shadow outer bindings of the same name
+        saved = None if env.keys().isdisjoint(todo) else \
+            {v: env.pop(v) for v in todo if v in env}
+        outer = frozenset(env)
+        plan = plans.get(outer)
+        if plan is None:
+            plan = plans[outer] = _join_plan(todo, conjuncts, outer)
         pre, steps, leftovers = plan
-        if not all(self._eval(c, env) for c in pre):
-            return False
-        return self._run_plan(steps, 0, leftovers, env)
+        found = _literals_hold(pre, env, self.s.rel) and \
+            self._run_plan(steps, 0, leftovers, env)
+        if saved:
+            env.update(saved)
+        result = found != forall
+        if memo is not None:
+            memo[key] = result
+        return result
 
     def _run_plan(self, steps, i, leftovers, env):
         if i == len(steps):
-            return all(self._eval(c, env) for c in leftovers)
+            for c, want in leftovers:
+                if _EVAL[type(c)](self, c, env) != want:
+                    return False
+            return True
         var, cand, pending = steps[i]
+        s = self.s
         if cand is None:
-            values = self.s.universe
+            values = s.universe
         elif cand[0] == "eq":
-            values = [env[cand[1]]]
+            values = (env[cand[1]],)
         else:
             _, name, args, slot = cand
-            pattern = tuple(None if a is None else env[a] for a in args)
-            values = sorted({t[slot] for t in self.s.matches(name, pattern)})
+            pattern = tuple([None if a is None else env[a] for a in args])
+            values = [t[slot] for t in s.matches(name, pattern)]
+        rel = s.rel
         for val in values:
             env[var] = val
-            if all(self._eval(c, env) for c in pending) and \
+            if _literals_hold(pending, env, rel) and \
                     self._run_plan(steps, i + 1, leftovers, env):
                 del env[var]
                 return True
-            del env[var]
+        env.pop(var, None)
         return False
 
-    def _search_plan(self, todo, conjuncts, outer):
-        key = (id(conjuncts), todo, outer)
-        plan = self._plans.get(key)
-        if plan is not None:
-            return plan
 
-        def is_atom(c):
-            inner = c.body if isinstance(c, Not) else c
-            return isinstance(inner, (Rel, Eq))
-
-        bound = set(outer)
-        # atoms fully determined by the outer environment are checked first
-        pre = [c for c in conjuncts
-               if is_atom(c) and free_vars(c, self._fv) <= bound]
-        scheduled = set(map(id, pre))
-        steps = []
-        for var in todo:
-            cand = None
-            for c in conjuncts:
-                if isinstance(c, Rel) and var in c.args and \
-                        all(a == var or a in bound for a in c.args):
-                    args = tuple(None if a == var else a for a in c.args)
-                    cand = ("rel", c.name, args, c.args.index(var))
-                    break
-                if isinstance(c, Eq):
-                    if c.left == var and c.right in bound:
-                        cand = ("eq", c.right)
-                        break
-                    if c.right == var and c.left in bound:
-                        cand = ("eq", c.left)
-                        break
-            bound.add(var)
-            pending = [c for c in conjuncts
-                       if is_atom(c) and id(c) not in scheduled and
-                       var in free_vars(c, self._fv) and
-                       free_vars(c, self._fv) <= bound]
-            scheduled.update(map(id, pending))
-            steps.append((var, cand, pending))
-        leftovers = [c for c in conjuncts if id(c) not in scheduled]
-        plan = (pre, steps, leftovers)
-        self._plans[key] = plan
-        return plan
+_EVAL = _Dispatch({Rel: _ev_rel, Eq: _ev_eq, Not: _ev_not,
+                   And: _ev_and, BigAnd: _ev_and, Or: _ev_or, BigOr: _ev_or,
+                   Exists: Evaluator._quant, Forall: Evaluator._quant})
 
 
 def eval_formula(structure, phi, env=None):

@@ -21,9 +21,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import (And, BigAnd, Digraph, Eq, Exists, Forall, MalformedInputError,
-                   Not, Or, PreconditionError, Rel, atomic_type_of, conj, disj,
-                   distinct_all, type_start_index)
+from .core import (And, Eq, Exists, Forall, MalformedInputError, Not, Or,
+                   PreconditionError, Rel, atomic_type_of, conj, disj,
+                   type_start_index)
 from .denseq import ColorOrderMap, Dyadic, between, color
 
 

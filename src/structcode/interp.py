@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 
 from .core import (And, Eq, Evaluator, Exists, Not, Or, PreconditionError,
-                   Rel, Structure, conj, iso_check)
+                   Rel, Structure, iso_check)
 from .marker import (base_point_formula, marker_encode, pentagon_formula,
                      square_formula)
 

@@ -172,6 +172,10 @@ class MarkerStreamDecoder:
         self.emitted_edges = set()
         self._bphi = base_point_formula()
         self._sq = square_formula()
+        # one evaluator for the whole stream: with memo off it caches only
+        # join plans, which depend on the formulas alone, and _Growing
+        # answers relation lookups from the live adjacency
+        self._ev = Evaluator(self.g)
 
     def _ball(self, seeds, radius):
         seen = set(seeds)
@@ -195,7 +199,7 @@ class MarkerStreamDecoder:
             raise MalformedInputError(f"unknown fact kind {fact[0]!r}")
         _, u, v = fact
         self.g.add_edge(u, v)
-        ev = Evaluator(self.g)
+        ev = self._ev
         # a new edge can only create base points within distance two of it
         for x in self._ball({u, v}, 2):
             if x not in self.bases and ev.eval(self._bphi, {"x": x}):

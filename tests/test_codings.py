@@ -94,6 +94,12 @@ class TestShuffleBuild:
         for seen in census(frag, scale=1).values():
             assert seen == want
 
+    def test_census_exact_near_midpoint(self):
+        # (2**60 - 1) / 2**61 lies below 1/2, but rounds to 1/2 as a float
+        blk = Block(Dyadic(2**60 - 1, 61), 0, OFFSET, False)
+        frag = ShuffleFragment((0,), False, 61, OFFSET, (blk,))
+        assert census(frag, scale=1) == {(0, 1): {0}, (1, 1): set()}
+
     def test_order_lines_shape(self):
         frag = shuffle_build([1], False, 3)
         lines = frag.order_lines()

@@ -1,6 +1,7 @@
 """Structures, formula evaluation, classification, atomic types, isomorphism."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from structcode.core import (And, BigAnd, BigOr, Digraph, Eq, EvalError,
                              conj, disj, distinct_all, eval_formula,
                              free_vars, iso_check, tuples_of_type, type_count,
                              type_from_index, type_start_index)
+from structcode.backforth import phi_tuple
 
 
 def path3():
@@ -56,6 +58,11 @@ class TestStructure:
     def test_unknown_relation(self):
         with pytest.raises(EvalError):
             path3().rel("F", (0, 1))
+        with pytest.raises(EvalError):
+            path3().matches("F", (0, None))
+        with pytest.raises(EvalError):
+            eval_formula(path3(), Exists(("y",), And((Rel("F", ("x", "y")),))),
+                         {"x": 0})
 
     def test_key_distinguishes_relations(self):
         g = Digraph([0, 1], [(0, 1)])
@@ -141,6 +148,104 @@ class TestEvaluator:
     def test_free_vars(self):
         phi = Exists(("y",), And((Rel("E", ("x", "y")), Eq("z", "y"))))
         assert free_vars(phi) == {"x", "z"}
+
+    def test_unknown_node_raises(self):
+        with pytest.raises(EvalError):
+            eval_formula(path3(), And((Eq("x", "x"), "not a node")), {"x": 0})
+
+    def test_reused_memo_evaluator_over_rebuilt_formulas(self):
+        # caches keyed by node identity must not serve a node built later
+        # at the address of a discarded one
+        rng = random.Random(11)
+        pairs = list(itertools.permutations(range(4), 2))
+        h = Digraph(range(4), rng.sample(pairs, 5))
+        reused = Evaluator(h, memo=True)
+        for _ in range(300):
+            g = Digraph(range(4), rng.sample(pairs, rng.randrange(len(pairs))))
+            phi = phi_tuple(g, (rng.randrange(4),), 1)
+            env = {"x1": rng.randrange(4)}
+            assert reused.eval(phi, env) == Evaluator(h).eval(phi, env)
+            del phi
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_recycled_node_address_gets_no_stale_entry(self, memo):
+        # allocate nodes until one lands where a discarded, evaluated node
+        # was; it happens at once when the evaluator does not hold the node
+        ev = Evaluator(path3(), memo=memo)
+        phi = Exists(("y",), Rel("E", ("x", "y")))
+        assert ev.eval(phi, {"x": 0})
+        old, body = id(phi), Rel("E", ("y", "x"))
+        del phi
+        keep = []
+        for _ in range(100):
+            keep.append(Exists(("y",), body))
+            if id(keep[-1]) == old:
+                break
+        assert not ev.eval(keep[-1], {"x": 0})
+
+
+# ---------------------------------------------------------------------------
+# differential check against a naive evaluator
+
+
+def reference_eval(s, phi, env):
+    """Textbook semantics; quantifiers range over every tuple of values."""
+    t = type(phi)
+    if t is Rel:
+        return s.rel(phi.name, tuple(env[a] for a in phi.args))
+    if t is Eq:
+        return env[phi.left] == env[phi.right]
+    if t is Not:
+        return not reference_eval(s, phi.body, env)
+    if t in (And, BigAnd):
+        return all(reference_eval(s, p, env) for p in phi.parts)
+    if t in (Or, BigOr):
+        return any(reference_eval(s, p, env) for p in phi.parts)
+    truths = (reference_eval(s, phi.body, {**env, **dict(zip(phi.vars, vals))})
+              for vals in itertools.product(s.universe, repeat=len(phi.vars)))
+    return any(truths) if t is Exists else all(truths)
+
+
+VARS = ("x", "y", "z")
+_var = st.sampled_from(VARS)
+_qvars = st.lists(_var, max_size=3).map(tuple)
+_atoms = st.one_of(st.builds(Rel, st.just("E"), st.tuples(_var, _var)),
+                   st.builds(Eq, _var, _var))
+
+
+def _junctions(inner):
+    parts = st.lists(inner, max_size=4).map(tuple)
+    return [st.builds(kind, parts) for kind in (And, Or, BigAnd, BigOr)]
+
+
+_formulas = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(st.builds(Not, inner), *_junctions(inner),
+                            st.builds(Exists, _qvars, inner),
+                            st.builds(Forall, _qvars, inner)),
+    max_leaves=12)
+# universal quantifiers over each kind of body the evaluator negates
+_foralls = st.builds(Forall, _qvars, st.one_of(
+    _atoms, st.builds(Not, _formulas), *_junctions(_formulas)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_evaluator_matches_reference(n, data):
+    pairs = list(itertools.product(range(n), repeat=2))
+    s = LoopedDigraph(range(n), data.draw(st.lists(st.sampled_from(pairs),
+                                                   unique=True))
+                      if pairs else [])
+    phi = data.draw(st.one_of(_formulas, _foralls))
+    plain, memo = Evaluator(s), Evaluator(s, memo=True)
+    # closed forms too, so the empty universe is checked
+    cases = [(Exists(VARS, phi), {}), (Forall(VARS, phi), {})]
+    cases += [(phi, dict(zip(VARS, vals)))
+              for vals in itertools.product(s.universe, repeat=3)]
+    for f, env in cases:
+        want = reference_eval(s, f, env)
+        assert plain.eval(f, env) == want
+        assert memo.eval(f, env) == want
 
 
 # ---------------------------------------------------------------------------
