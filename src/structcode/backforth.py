@@ -88,57 +88,83 @@ def _matching_extensions(a, atup, ext, b, btup):
     yield from rec(())
 
 
+def _check_level(gamma):
+    if gamma < 0:
+        raise PreconditionError(f"level {gamma} is negative")
+
+
+class _Game:
+    """The game between a and b with moves of length up to ``bound``, with
+    one memo of decided positions (level and the two tuples played).
+
+    Levels strictly decrease along every line of play, so no position is
+    re-entered while it is being decided.
+    """
+
+    def __init__(self, a, atup, b, btup, gamma, bound):
+        _check_level(gamma)
+        if a.signature != b.signature:
+            raise PreconditionError("structures must have the same signature")
+        if len(atup) != len(btup):
+            raise PreconditionError("tuples must have equal length")
+        need = max(len(a.universe), len(b.universe))
+        if bound is None:
+            bound = need
+        if bound < need:
+            raise PreconditionError(
+                f"move bound {bound} below max structure size {need}")
+        self.a, self.b, self.bound = a, b, bound
+        self.memo = {}
+
+    def equiv(self, at, bt, g):
+        """(a, at) ~g (b, bt)."""
+        key = (at, bt, g)
+        res = self.memo.get(key)
+        if res is None:
+            res = fingerprint(self.a, at) == fingerprint(self.b, bt) and \
+                (g == 0 or self.unanswered(at, bt, g) is None)
+            self.memo[key] = res
+        return res
+
+    def unanswered(self, at, bt, g):
+        """The first spoiler move with no response at level g-1, as
+        ("a"|"b", move), or None when every move is answered.
+
+        Moves are tried side a first, shorter moves first, then in
+        ``itertools.combinations`` order over the fresh elements sorted by
+        ``repr``.  Sorted distinct fresh tuples suffice: permuted moves are
+        answered by the permuted response, repeats and old elements are
+        mirrored, and a surplus of fresh elements on one side shows as a
+        longer move from that side with no matching extension.
+        """
+        a, b = self.a, self.b
+        for side, src, st, dst, dt in (("a", a, at, b, bt),
+                                       ("b", b, bt, a, at)):
+            fresh = sorted(set(src.universe) - set(st), key=repr)
+            for ln in range(1, min(self.bound, len(fresh)) + 1):
+                for move in itertools.combinations(fresh, ln):
+                    mt = st + move
+                    answered = (self.equiv(mt, dt + r, g - 1) if side == "a"
+                                else self.equiv(dt + r, mt, g - 1)
+                                for r in _matching_extensions(src, st, move,
+                                                              dst, dt))
+                    if not any(answered):
+                        return side, move
+        return None
+
+
 def bf_equiv(a, atup, b, btup, gamma, bound=None):
     """Decide (a, atup) ~gamma (b, btup) by memoized game search."""
     atup, btup = tuple(atup), tuple(btup)
-    if len(atup) != len(btup):
-        raise PreconditionError("tuples must have equal length")
-    need = max(len(a.universe), len(b.universe))
-    if bound is None:
-        bound = need
-    if bound < need:
-        raise PreconditionError(
-            f"move bound {bound} below max structure size {need}")
-    memo = {}
-
-    def go(at, bt, g):
-        key = (at, bt, g)
-        if key in memo:
-            return memo[key]
-        memo[key] = True      # coinductive default, sound for finite gamma
-        res = fingerprint(a, at) == fingerprint(b, bt)
-        if res and g > 0:
-            res = _half(a, at, b, bt, g) and _half(b, bt, a, at, g)
-        memo[key] = res
-        return res
-
-    def _half(src, st, dst, dt, g):
-        # every spoiler move on the src side must have a dst response;
-        # sorted distinct fresh tuples suffice: permuted moves are answered
-        # by the permuted response, repeats and old elements are mirrored
-        fresh = sorted(set(src.universe) - set(st), key=repr)
-        for ln in range(1, min(bound, len(fresh)) + 1):
-            for move in itertools.combinations(fresh, ln):
-                if src is a:
-                    ok = any(go(st + move, dt + resp, g - 1)
-                             for resp in _matching_extensions(src, st, move, dst, dt))
-                else:
-                    ok = any(go(dt + resp, st + move, g - 1)
-                             for resp in _matching_extensions(src, st, move, dst, dt))
-                if not ok:
-                    return False
-        # a dst-side surplus of fresh elements is caught when the roles
-        # swap: the longer move then finds no matching extension
-        return True
-
-    return go(atup, btup, gamma)
+    return _Game(a, atup, b, btup, gamma, bound).equiv(atup, btup, gamma)
 
 
 def distinguishing_move(a, atup, b, btup, gamma, bound=None):
     """Evidence for a negative bf_equiv verdict, or None when equivalent.
 
     Returns ("atomic", fp_a, fp_b) for a level-0 mismatch, otherwise
-    ("a"|"b", move) for an unanswerable spoiler move on that side.
+    ("a"|"b", move) for the first unanswerable spoiler move in the order of
+    ``_Game.unanswered``.
     """
     atup, btup = tuple(atup), tuple(btup)
     if bf_equiv(a, atup, b, btup, gamma, bound):
@@ -146,19 +172,7 @@ def distinguishing_move(a, atup, b, btup, gamma, bound=None):
     fa, fb = fingerprint(a, atup), fingerprint(b, btup)
     if fa != fb:
         return ("atomic", fa, fb)
-    for side, src, st, dst, dt in (("a", a, atup, b, btup),
-                                   ("b", b, btup, a, atup)):
-        fresh = sorted(set(src.universe) - set(st), key=repr)
-        for ln in range(1, len(fresh) + 1):
-            for move in itertools.combinations(fresh, ln):
-                answered = any(
-                    bf_equiv(a, atup + (move if side == "a" else resp),
-                             b, btup + (resp if side == "a" else move),
-                             gamma - 1, bound)
-                    for resp in _matching_extensions(src, st, move, dst, dt))
-                if not answered:
-                    return (side, move)
-    return None
+    return _Game(a, atup, b, btup, gamma, bound).unanswered(atup, btup, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +183,27 @@ def _var(i):
     return f"x{i + 1}"
 
 
-def _atomic_diagram(struct, tup, offset=0):
-    """Quantifier-free diagram of a tuple over variables x{offset+1}, ..."""
-    n = len(tup)
-    xs = [_var(offset + i) for i in range(n)]
+def _atoms(signature, vs):
+    """The atomic formulas over the variables vs, each with the positions
+    it reads: x_i = x_j for i < j, then each relation in name order over
+    ``itertools.product`` positions."""
+    n = len(vs)
+    for pos in itertools.combinations(range(n), 2):
+        yield Eq(vs[pos[0]], vs[pos[1]]), pos
+    for name in sorted(signature):
+        for pos in itertools.product(range(n), repeat=signature[name]):
+            yield Rel(name, tuple(vs[p] for p in pos)), pos
+
+
+def _atomic_diagram(struct, tup):
+    """Quantifier-free diagram of a tuple over variables x1, x2, ..."""
     parts = []
-    for i, j in itertools.combinations(range(n), 2):
-        lit = Eq(xs[i], xs[j])
-        parts.append(lit if tup[i] == tup[j] else Not(lit))
-    for name in sorted(struct.signature):
-        ar = struct.signature[name]
-        for pos in itertools.product(range(n), repeat=ar):
-            lit = Rel(name, tuple(xs[p] for p in pos))
-            parts.append(lit if struct.rel(name, tuple(tup[p] for p in pos))
-                         else Not(lit))
+    xs = [_var(i) for i in range(len(tup))]
+    for lit, pos in _atoms(struct.signature, xs):
+        vals = tuple(tup[p] for p in pos)
+        holds = vals[0] == vals[1] if type(lit) is Eq else \
+            struct.rel(lit.name, vals)
+        parts.append(lit if holds else Not(lit))
     return conj(parts)
 
 
@@ -192,6 +213,7 @@ def phi_tuple(struct, tup, gamma, bound=None):
     Evaluating it at a tuple of any structure in the same signature agrees
     with ``bf_equiv`` against (struct, tup).
     """
+    _check_level(gamma)
     tup = tuple(tup)
     if bound is None:
         bound = len(struct.universe)
@@ -204,36 +226,27 @@ def phi_tuple(struct, tup, gamma, bound=None):
         if key in memo:
             return memo[key]
         if g == 0:
-            out = _atomic_diagram(struct, t, 0)
-            memo[key] = out
+            out = memo[key] = _atomic_diagram(struct, t)
             return out
         n = len(t)
         fresh = sorted(set(struct.universe) - set(t), key=repr)
+        xs = [_var(i) for i in range(n)]
         # the diagram is implied by the nested base cases only when fresh
         # extensions exist; assert it outright so exhausted tuples still
         # carry their atomic constraints
-        parts = [_atomic_diagram(struct, t, 0)]
-        max_ln = min(bound, len(fresh))
-        for ln in range(1, max_ln + 1):
+        parts = [_atomic_diagram(struct, t)]
+        # a length one past the fresh elements has no moves: its Forall
+        # says that no further fresh tuple exists
+        for ln in range(1, min(bound, len(fresh) + 1) + 1):
             ys = tuple(_var(n + i) for i in range(ln))
             moves = list(itertools.permutations(fresh, ln))
             for move in moves:
                 parts.append(Exists(ys, build(t + move, g - 1)))
-            xs = [_var(i) for i in range(n)]
             stale = disj([Eq(u, v) for u, v in itertools.combinations(ys, 2)] +
                          [Eq(y, x) for y in ys for x in xs])
             parts.append(Forall(ys, BigOr(tuple(
                 [stale] + [build(t + move, g - 1) for move in moves]))))
-        if max_ln < bound:
-            # no fresh tuple of length max_ln + 1 exists on this side
-            ln = max_ln + 1
-            ys = tuple(_var(n + i) for i in range(ln))
-            xs = [_var(i) for i in range(n)]
-            stale = disj([Eq(u, v) for u, v in itertools.combinations(ys, 2)] +
-                         [Eq(y, x) for y in ys for x in xs])
-            parts.append(Forall(ys, BigOr((stale,))))
-        out = BigAnd(tuple(parts))
-        memo[key] = out
+        out = memo[key] = BigAnd(tuple(parts))
         return out
 
     return build(tup, gamma)
@@ -243,24 +256,19 @@ def phi_pair(signature, n, gamma, bound):
     """Uniform formula: a structure satisfies it at (x-tuple, y-tuple) of
     length n each exactly when the two tuples are ~gamma there.
     """
+    _check_level(gamma)
+
     def xs(length):
         return [_var(i) for i in range(length)]
 
     def ys(length):
         return [f"y{i + 1}" for i in range(length)]
 
-    def atoms(vs):
-        out = [Eq(vs[i], vs[j]) for i, j in itertools.combinations(range(len(vs)), 2)]
-        for name in sorted(signature):
-            ar = signature[name]
-            out += [Rel(name, tuple(vs[p] for p in pos))
-                    for pos in itertools.product(range(len(vs)), repeat=ar)]
-        return out
-
     def build(length, g):
         if g == 0:
             parts = []
-            for px, py in zip(atoms(xs(length)), atoms(ys(length))):
+            for (px, _), (py, _) in zip(_atoms(signature, xs(length)),
+                                        _atoms(signature, ys(length))):
                 parts.append(Or((Not(px), py)))
                 parts.append(Or((Not(py), px)))
             return conj(parts)
@@ -285,6 +293,7 @@ def interval_equiv(a, atup, b, btup, gamma):
 
     Returns (verdict, per-interval list of booleans).
     """
+    _check_level(gamma)
     atup, btup = tuple(atup), tuple(btup)
     if len(atup) != len(btup):
         raise PreconditionError("tuples must have equal length")
@@ -337,6 +346,7 @@ def lg_certify(g, t1, t2, gamma):
     sizes (level >= 1) or by positional block sizes (level >= 2); Unknown
     otherwise.
     """
+    _check_level(gamma)
     t1, t2 = tuple(t1), tuple(t2)
     if len(t1) != len(t2):
         raise PreconditionError("tuples must have equal length")
@@ -362,6 +372,7 @@ def lg_concat_certify(g, pair1, pair2, gamma):
     Equivalent and a length-2 element exists between the halves on both
     sides; it is never Distinguished.
     """
+    _check_level(gamma)
     (b1, b2), (c1, c2) = pair1, pair2
     for left, right in ((b1, b2), (c1, c2)):
         if not (left and right):

@@ -106,25 +106,6 @@ class Structure:
         return f"<{type(self).__name__} |U|={len(self.universe)} {sig}>"
 
 
-class Digraph(Structure):
-    """Irreflexive directed graph in the language with one binary relation E."""
-
-    def __init__(self, vertices, edges):
-        edges = {tuple(e) for e in edges}
-        for u, v in edges:
-            if u == v:
-                raise PreconditionError(f"self-loop at {u!r} not allowed")
-        super().__init__(vertices, {"E": 2}, {"E": edges})
-
-    @property
-    def vertices(self):
-        return self.universe
-
-    @property
-    def edges(self):
-        return self.relations["E"]
-
-
 class LoopedDigraph(Structure):
     """Directed graph where self-loops are permitted (tuple-type contexts)."""
 
@@ -138,6 +119,17 @@ class LoopedDigraph(Structure):
     @property
     def edges(self):
         return self.relations["E"]
+
+
+class Digraph(LoopedDigraph):
+    """Irreflexive directed graph in the language with one binary relation E."""
+
+    def __init__(self, vertices, edges):
+        edges = {tuple(e) for e in edges}
+        for u, v in edges:
+            if u == v:
+                raise PreconditionError(f"self-loop at {u!r} not allowed")
+        super().__init__(vertices, edges)
 
 
 class UGraph(Structure):
@@ -458,17 +450,14 @@ class Evaluator:
     values from a relation index or an equality where a positive literal
     allows, and each literal is checked inline as soon as it is decided
     (see ``_join_plan``).  Plans are compiled once per (quantifier node,
-    set of bound outer variables).  With ``memo=True`` quantifier results
-    are also cached per (node, values of its free variables).  Caches
-    keyed by node identity hold the node, so no key outlives its node.
+    set of bound outer variables).  The cache keyed by node identity holds
+    the node, so no key outlives its node.
     """
 
-    def __init__(self, structure, memo=False):
+    def __init__(self, structure):
         self.s = structure
-        self._memo = memo
-        self._fv = {}
         # id(quantifier node) -> (node, is Forall, variables, conjuncts,
-        # {outer variables: plan}, free variables, memo table or None)
+        # {outer variables: plan})
         self._quants = {}
 
     def eval(self, phi, env=None):
@@ -476,23 +465,14 @@ class Evaluator:
 
     def _prepare(self, phi):
         forall = type(phi) is Forall
-        fv = memo = None
-        if self._memo:
-            fv = tuple(sorted(free_vars(phi, self._fv)))
-            memo = {}
         entry = (phi, forall, tuple(dict.fromkeys(phi.vars)),
-                 tuple(_conjuncts(phi.body, not forall, [])), {}, fv, memo)
+                 tuple(_conjuncts(phi.body, not forall, [])), {})
         self._quants[id(phi)] = entry
         return entry
 
     def _quant(self, phi, env):
         entry = self._quants.get(id(phi)) or self._prepare(phi)
-        _, forall, todo, conjuncts, plans, fv, memo = entry
-        if memo is not None:
-            key = tuple(map(env.get, fv))
-            got = memo.get(key)
-            if got is not None:
-                return got
+        _, forall, todo, conjuncts, plans = entry
         # quantified variables shadow outer bindings of the same name
         saved = None if env.keys().isdisjoint(todo) else \
             {v: env.pop(v) for v in todo if v in env}
@@ -505,10 +485,7 @@ class Evaluator:
             self._run_plan(steps, 0, leftovers, env)
         if saved:
             env.update(saved)
-        result = found != forall
-        if memo is not None:
-            memo[key] = result
-        return result
+        return found != forall
 
     def _run_plan(self, steps, i, leftovers, env):
         if i == len(steps):

@@ -174,8 +174,3 @@ class ColorOrderMap:
                 hi, hi_img = m, m_img
             else:
                 lo, lo_img = m, m_img
-
-
-def extend_map(m, q):
-    """Image of q under the canonical extension of the seeded map m."""
-    return m.image(q)

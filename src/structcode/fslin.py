@@ -21,8 +21,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import (And, Eq, Exists, Forall, MalformedInputError, Not, Or,
-                   PreconditionError, Rel, atomic_type_of, conj, disj,
+from .core import (TRUE, And, Eq, Exists, Forall, MalformedInputError, Not,
+                   Or, PreconditionError, Rel, atomic_type_of, conj, disj,
                    type_start_index)
 from .denseq import ColorOrderMap, Dyadic, between, color
 
@@ -263,7 +263,7 @@ def _block_core(zs):
     chain = [_lt(a, b) for a, b in zip(zs, zs[1:])]
     consec = Forall((p,), conj(
         [Or((Not(_lt(a, p)), Not(_lt(p, b)))) for a, b in zip(zs, zs[1:])])) \
-        if len(zs) > 1 else TRUE_QF
+        if len(zs) > 1 else TRUE
     maximal = Forall((p,), And((
         Or((Not(_lt(p, zs[0])), Exists((v,), _between(v, p, zs[0])))),
         Or((Not(_lt(zs[-1], p)), Exists((v,), _between(v, zs[-1], p)))),
@@ -273,9 +273,6 @@ def _block_core(zs):
         parts.append(consec)
     parts.append(maximal)
     return parts
-
-
-TRUE_QF = And(())
 
 
 def in_block_formula(x, m, k, prefix):

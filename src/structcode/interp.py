@@ -21,8 +21,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .core import (And, Eq, Evaluator, Exists, Not, Or, PreconditionError,
-                   Rel, Structure, iso_check)
+from .core import (FALSE, TRUE, And, Eq, Evaluator, Exists, Not, Or,
+                   PreconditionError, Rel, Structure, iso_check)
 from .marker import (base_point_formula, marker_encode, pentagon_formula,
                      square_formula)
 
@@ -250,10 +250,6 @@ def builtin_int_in_nat(n):
     spec = InterpretationSpec(domain, sim_pos, sim_neg, rel_pos, rel_neg,
                               {"plus": 3, "times": 3})
     return carrier, spec, target
-
-
-TRUE = And(())
-FALSE = Or(())
 
 
 def trivial_interp(a, b):

@@ -172,8 +172,8 @@ class MarkerStreamDecoder:
         self.emitted_edges = set()
         self._bphi = base_point_formula()
         self._sq = square_formula()
-        # one evaluator for the whole stream: with memo off it caches only
-        # join plans, which depend on the formulas alone, and _Growing
+        # one evaluator for the whole stream: it caches only join plans,
+        # which depend on the formulas alone, and _Growing
         # answers relation lookups from the live adjacency
         self._ev = Evaluator(self.g)
 

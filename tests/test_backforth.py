@@ -8,8 +8,8 @@ import pytest
 from structcode.backforth import (Certificate, bf_equiv, distinguishing_move,
                                   fingerprint, interval_equiv, lg_certify,
                                   lg_concat_certify, phi_pair, phi_tuple)
-from structcode.core import (Digraph, Evaluator, FinLinOrder, classify,
-                             eval_formula)
+from structcode.core import (Digraph, Evaluator, FinLinOrder,
+                             PreconditionError, classify, eval_formula)
 from structcode.denseq import Dyadic
 from structcode.fslin import fs_element, fs_enumerate, shape, shift_tuple
 
@@ -76,7 +76,90 @@ class TestGame:
         assert fingerprint(g, (0, 1)) != fingerprint(g, (1, 0))
 
 
+def digraph_classes(max_n):
+    """One digraph per isomorphism class on 0..max_n vertices."""
+    out = []
+    for n in range(max_n + 1):
+        seen = set()
+        for g in all_digraphs(n):
+            canon = min(tuple(sorted((p[u], p[v]) for u, v in g.edges))
+                        for p in itertools.permutations(range(n)))
+            if canon not in seen:
+                seen.add(canon)
+                out.append(g)
+    return out
+
+
+def spoiler_moves(src, st):
+    """Spoiler moves in the documented order: shorter first, then
+    combinations of the fresh elements sorted by repr."""
+    fresh = sorted(set(src.universe) - set(st), key=repr)
+    for ln in range(1, len(fresh) + 1):
+        yield from itertools.combinations(fresh, ln)
+
+
+def answered(a, at, b, bt, side, move, gamma):
+    """Some response, over all tuples of the move's length, holds ~gamma."""
+    dst = b if side == "a" else a
+    for resp in itertools.product(dst.universe, repeat=len(move)):
+        if side == "a" and bf_equiv(a, at + move, b, bt + resp, gamma):
+            return True
+        if side == "b" and bf_equiv(a, at + resp, b, bt + move, gamma):
+            return True
+    return False
+
+
+class TestPreconditions:
+    def test_negative_gamma(self):
+        g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
+        o = FinLinOrder(range(3))
+        frag = fs_enumerate(Digraph([0, 1], [(0, 1)]), 1, 3)
+        calls = [lambda: bf_equiv(g, (0,), g, (2,), -1),
+                 lambda: distinguishing_move(g, (0,), g, (2,), -1),
+                 lambda: phi_tuple(g, (0,), -1),
+                 lambda: phi_pair({"E": 2}, 1, -1, 3),
+                 lambda: interval_equiv(o, (1,), o, (1,), -1),
+                 lambda: lg_certify(g, (frag[2],), (frag[7],), -1),
+                 lambda: lg_concat_certify(
+                     g, ((frag[2],), (frag[60],)), ((frag[2],), (frag[60],)),
+                     -1)]
+        for call in calls:
+            with pytest.raises(PreconditionError):
+                call()
+
+    def test_signature_mismatch(self):
+        g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
+        o = FinLinOrder(range(3))
+        for call in (bf_equiv, distinguishing_move):
+            with pytest.raises(PreconditionError):
+                call(o, (), g, (), 1)
+            with pytest.raises(PreconditionError):
+                call(g, (0,), o, (0,), 0)
+
+
 class TestDistinguishingMove:
+    def test_first_unanswered_move(self):
+        graphs = digraph_classes(3)
+        assert len(graphs) == 21
+        for a, b in itertools.product(graphs, repeat=2):
+            tuples = [((), ())] + [((x,), (y,)) for x in a.universe
+                                   for y in b.universe]
+            for (at, bt), gamma in itertools.product(tuples, range(3)):
+                res = distinguishing_move(a, at, b, bt, gamma)
+                if bf_equiv(a, at, b, bt, gamma):
+                    assert res is None
+                    continue
+                if fingerprint(a, at) != fingerprint(b, bt):
+                    assert res == ("atomic", fingerprint(a, at),
+                                   fingerprint(b, bt))
+                    continue
+                side, move = res
+                assert not answered(a, at, b, bt, side, move, gamma - 1)
+                earlier = [("a", m) for m in spoiler_moves(a, at)] + \
+                    [("b", m) for m in spoiler_moves(b, bt)]
+                for s, m in earlier[:earlier.index((side, move))]:
+                    assert answered(a, at, b, bt, s, m, gamma - 1)
+
     def test_none_when_equivalent(self):
         g = Digraph([0, 1], [(0, 1)])
         assert distinguishing_move(g, (0,), g, (0,), 2) is None
@@ -154,7 +237,6 @@ class TestIntervalEquiv:
             assert len(pieces) == len(ta) + 1
 
     def test_mismatched_tuple_lengths(self):
-        from structcode.core import PreconditionError
         a = FinLinOrder(range(3))
         with pytest.raises(PreconditionError):
             interval_equiv(a, (0,), a, (0, 1), 1)

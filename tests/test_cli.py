@@ -93,6 +93,19 @@ class TestExitCodes:
         assert code == 3
         assert "error" in json.loads(out)
 
+    def test_negative_gamma_is_three(self):
+        code, out = run(["bnf", "equiv", "--gamma", "-1",
+                         "--tuple-a", "0", "--tuple-b", "2",
+                         str(DATA / "path3.graph"), str(DATA / "path3.graph")])
+        assert code == 3
+        assert "error" in json.loads(out)
+
+    def test_signature_mismatch_is_three(self):
+        code, out = run(["bnf", "equiv", "--gamma", "1",
+                         str(DATA / "chain3.order"), str(DATA / "path3.graph")])
+        assert code == 3
+        assert "error" in json.loads(out)
+
     def test_nonmember_is_one(self):
         code, out = run(["fs", "member", "--graph", str(DATA / "edge2.graph"),
                          '["1/2",0]'])

@@ -140,11 +140,6 @@ class TestEvaluator:
         assert eval_formula(g, phi, {"x": 0, "y": 1})
         assert not eval_formula(g, phi, {"x": 0, "y": 0})
 
-    def test_memoized_evaluator_consistent(self):
-        g = Digraph(range(3), [(0, 1), (1, 2), (2, 0)])
-        phi = Forall(("x",), Exists(("y",), Rel("E", ("x", "y"))))
-        assert Evaluator(g, memo=True).eval(phi) == eval_formula(g, phi)
-
     def test_free_vars(self):
         phi = Exists(("y",), And((Rel("E", ("x", "y")), Eq("z", "y"))))
         assert free_vars(phi) == {"x", "z"}
@@ -153,13 +148,13 @@ class TestEvaluator:
         with pytest.raises(EvalError):
             eval_formula(path3(), And((Eq("x", "x"), "not a node")), {"x": 0})
 
-    def test_reused_memo_evaluator_over_rebuilt_formulas(self):
+    def test_reused_evaluator_over_rebuilt_formulas(self):
         # caches keyed by node identity must not serve a node built later
         # at the address of a discarded one
         rng = random.Random(11)
         pairs = list(itertools.permutations(range(4), 2))
         h = Digraph(range(4), rng.sample(pairs, 5))
-        reused = Evaluator(h, memo=True)
+        reused = Evaluator(h)
         for _ in range(300):
             g = Digraph(range(4), rng.sample(pairs, rng.randrange(len(pairs))))
             phi = phi_tuple(g, (rng.randrange(4),), 1)
@@ -167,11 +162,10 @@ class TestEvaluator:
             assert reused.eval(phi, env) == Evaluator(h).eval(phi, env)
             del phi
 
-    @pytest.mark.parametrize("memo", [False, True])
-    def test_recycled_node_address_gets_no_stale_entry(self, memo):
+    def test_recycled_node_address_gets_no_stale_entry(self):
         # allocate nodes until one lands where a discarded, evaluated node
         # was; it happens at once when the evaluator does not hold the node
-        ev = Evaluator(path3(), memo=memo)
+        ev = Evaluator(path3())
         phi = Exists(("y",), Rel("E", ("x", "y")))
         assert ev.eval(phi, {"x": 0})
         old, body = id(phi), Rel("E", ("y", "x"))
@@ -237,15 +231,13 @@ def test_evaluator_matches_reference(n, data):
                                                    unique=True))
                       if pairs else [])
     phi = data.draw(st.one_of(_formulas, _foralls))
-    plain, memo = Evaluator(s), Evaluator(s, memo=True)
+    ev = Evaluator(s)
     # closed forms too, so the empty universe is checked
     cases = [(Exists(VARS, phi), {}), (Forall(VARS, phi), {})]
     cases += [(phi, dict(zip(VARS, vals)))
               for vals in itertools.product(s.universe, repeat=3)]
     for f, env in cases:
-        want = reference_eval(s, f, env)
-        assert plain.eval(f, env) == want
-        assert memo.eval(f, env) == want
+        assert ev.eval(f, env) == reference_eval(s, f, env)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from structcode.core import PreconditionError
 from structcode.denseq import (ColorOrderMap, ConstraintError, Dyadic,
-                               between, color, extend_map, simplest_between)
+                               between, color, simplest_between)
 
 
 def dyadics(max_exp=8):
@@ -132,7 +132,7 @@ class TestColorOrderMap:
             seeds[s] = img
             prev = img
         m = ColorOrderMap(seeds)
-        imgs = [extend_map(m, q) for q in queries]
+        imgs = [m.image(q) for q in queries]
         for q, i in zip(queries, imgs):
             assert color(i) == color(q)
         for q1, i1 in zip(queries, imgs):

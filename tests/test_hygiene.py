@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses or
+defines a private top-level name it never uses."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,28 @@ def unused_imports(source):
                   if name not in used)
 
 
+def unused_private_names(source):
+    """Private top-level names (``_x``, not dunders) the module defines but
+    never mentions again."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        defined[n.id] = node.lineno
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in used)
+
+
 def test_unused_imports_detected():
     src = "import os\nfrom x import a, b as c\nfrom __future__ import annotations\nc()\n"
     assert unused_imports(src) == [(1, "os"), (2, "a")]
@@ -31,5 +54,19 @@ def test_unused_imports_detected():
 
 def test_package_has_no_unused_imports():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_unused_private_names_detected():
+    src = ("_A = 1\n_B = 2\n__all__ = []\n"
+           "def _f():\n    return _B\n"
+           "class _C:\n    pass\n"
+           "def g():\n    return _f()\n")
+    assert unused_private_names(src) == [(1, "_A"), (6, "_C")]
+
+
+def test_package_has_no_unused_private_names():
+    found = {path.name: unused_private_names(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}

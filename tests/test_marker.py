@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from structcode.core import (Digraph, Evaluator, MalformedInputError,
-                             PreconditionError, UGraph, classify, iso_check)
+from structcode.core import (Digraph, Evaluator, LoopedDigraph,
+                             MalformedInputError, PreconditionError, UGraph,
+                             classify, iso_check)
 from structcode.marker import (MarkerStreamDecoder, base_point_formula,
                                diagram_facts, marker_decode, marker_encode,
                                pentagon_formula, relabel_decoded,
@@ -34,6 +35,11 @@ class TestEncode:
     def test_rejects_non_digraph(self):
         with pytest.raises(PreconditionError):
             marker_encode(UGraph([0, 1], [(0, 1)]))
+
+    def test_rejects_looped_digraph(self):
+        # a Digraph is a LoopedDigraph, not the other way round
+        with pytest.raises(PreconditionError):
+            marker_encode(LoopedDigraph([0, 1], [(0, 1)]))
 
     def test_empty_graph(self):
         code = marker_encode(Digraph([], []))
