@@ -21,11 +21,12 @@ tuples of order elements built from a digraph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .core import (BigAnd, BigOr, Eq, Exists, FinLinOrder, Forall, Not, Or,
-                   PreconditionError, Rel, conj, disj)
+                   PreconditionError, Rel, _values_of, conj, disj)
 from .fslin import fs_compare, mentions, min_length_in_interval, shape, sort_elements
 
 
@@ -44,48 +45,42 @@ def fingerprint(struct, tup):
     return (eq, tuple(rels))
 
 
+@functools.lru_cache(maxsize=256)
+def _place_facts(signature, i):
+    """(name, argument getter) for each relation fact that reads place i
+    and no later place; ``signature`` is a sorted tuple of (name, arity)."""
+    return tuple((name, _values_of(pos)) for name, ar in signature
+                 for pos in itertools.product(range(i + 1), repeat=ar)
+                 if i in pos)
+
+
 def _matching_extensions(a, atup, ext, b, btup):
-    """All tuples d over b with fingerprint(b, btup+d) = fingerprint(a, atup+ext).
+    """All tuples d over b with fingerprint(b, btup+d) = fingerprint(a, atup+ext),
+    for tuples atup and btup that agree on every atomic fact and a move ext
+    of distinct elements outside atup.
 
-    Yields candidates by depthwise extension, pruning on every atomic fact
-    that touches the newest position.
+    Candidates are distinct elements outside btup, added place by place and
+    checked against the facts that read their place last.
     """
-    na = len(atup)
     full = atup + ext
+    signature = tuple(sorted(a.signature.items()))
 
-    def facts_ok(chosen, c, i):
-        # i = absolute position of c in the b-side tuple under construction
-        row = btup + chosen + (c,)
-        for name in sorted(b.signature):
-            ar = b.signature[name]
-            for pos in itertools.product(range(i + 1), repeat=ar):
-                if i not in pos:
-                    continue
-                if a.rel(name, tuple(full[j] for j in pos)) != \
-                        b.rel(name, tuple(row[j] for j in pos)):
-                    return False
-        return True
-
-    def rec(chosen):
-        i = na + len(chosen)
-        if len(chosen) == len(ext):
-            yield chosen
+    def rec(row):
+        i = len(row)
+        if i == len(full):
+            yield row[len(btup):]
             return
-        want = full.index(full[i])
-        if want < i:
-            # repeated element: the response is forced
-            forced = (btup + chosen)[want]
-            if facts_ok(chosen, forced, i):
-                yield from rec(chosen + (forced,))
-            return
-        used = set(btup + chosen)
+        facts = [(name, get, a.rel(name, get(full)))
+                 for name, get in _place_facts(signature, i)]
         for c in b.universe:
-            if c in used:
+            if c in row:
                 continue
-            if facts_ok(chosen, c, i):
-                yield from rec(chosen + (c,))
+            ext_row = row + (c,)
+            if all(b.rel(name, get(ext_row)) == want
+                   for name, get, want in facts):
+                yield from rec(ext_row)
 
-    yield from rec(())
+    yield from rec(btup)
 
 
 def _check_level(gamma):
@@ -117,13 +112,13 @@ class _Game:
         self.memo = {}
 
     def equiv(self, at, bt, g):
-        """(a, at) ~g (b, bt)."""
+        """(a, at) ~g (b, bt), for tuples that agree on every atomic fact."""
+        if g == 0:
+            return True
         key = (at, bt, g)
         res = self.memo.get(key)
         if res is None:
-            res = fingerprint(self.a, at) == fingerprint(self.b, bt) and \
-                (g == 0 or self.unanswered(at, bt, g) is None)
-            self.memo[key] = res
+            res = self.memo[key] = self.unanswered(at, bt, g) is None
         return res
 
     def unanswered(self, at, bt, g):
@@ -156,7 +151,9 @@ class _Game:
 def bf_equiv(a, atup, b, btup, gamma, bound=None):
     """Decide (a, atup) ~gamma (b, btup) by memoized game search."""
     atup, btup = tuple(atup), tuple(btup)
-    return _Game(a, atup, b, btup, gamma, bound).equiv(atup, btup, gamma)
+    game = _Game(a, atup, b, btup, gamma, bound)
+    return fingerprint(a, atup) == fingerprint(b, btup) and \
+        game.equiv(atup, btup, gamma)
 
 
 def distinguishing_move(a, atup, b, btup, gamma, bound=None):
@@ -234,7 +231,7 @@ def phi_tuple(struct, tup, gamma, bound=None):
         # the diagram is implied by the nested base cases only when fresh
         # extensions exist; assert it outright so exhausted tuples still
         # carry their atomic constraints
-        parts = [_atomic_diagram(struct, t)]
+        parts = [build(t, 0)]
         # a length one past the fresh elements has no moves: its Forall
         # says that no further fresh tuple exists
         for ln in range(1, min(bound, len(fresh) + 1) + 1):
@@ -257,6 +254,8 @@ def phi_pair(signature, n, gamma, bound):
     length n each exactly when the two tuples are ~gamma there.
     """
     _check_level(gamma)
+    if n < 0 or bound < 0:
+        raise PreconditionError(f"length {n} or move bound {bound} is negative")
 
     def xs(length):
         return [_var(i) for i in range(length)]

@@ -19,8 +19,7 @@ from .backforth import (bf_equiv, distinguishing_move, interval_equiv,
 from .codings import (daisy_decode, daisy_encode, shuffle_build,
                       shuffle_decode, Block, ShuffleFragment)
 from .core import (Digraph, FinLinOrder, LoopedDigraph, MalformedInputError,
-                   PreconditionError, UGraph, classify)
-from .denseq import Dyadic
+                   PreconditionError, StructError, UGraph, classify)
 from .fslin import (block_of, fs_compare, fs_enumerate, mentions,
                     min_length_in_interval, shape, shape_formulas, shift_tuple)
 from .interp import builtin_int_in_nat, check_interpretation, marker_interp, trivial_interp
@@ -41,19 +40,23 @@ class UsageError(Exception):
     pass
 
 
-def _load_parts(path):
+def _parse_file(path, parse):
     try:
-        return formats.parse_struct_text(_read(path))
+        return parse(_read(path))
     except MalformedInputError as exc:
-        # unreadable input files are usage errors, not precondition failures
+        # unparsable input files are usage errors, not precondition failures
         raise UsageError(f"{path}: {exc}")
 
 
-def load_digraph(path, loops=False):
+def _load_parts(path):
+    return _parse_file(path, formats.parse_struct_text)
+
+
+def load_digraph(path):
     vertices, edges, order = _load_parts(path)
     if order is not None:
         raise MalformedInputError(f"{path}: expected a graph, found an order")
-    return (LoopedDigraph if loops else Digraph)(vertices, edges)
+    return Digraph(vertices, edges)
 
 
 def load_ugraph(path):
@@ -154,7 +157,7 @@ def cmd_marker(args):
         elif parts[0] == "e" and len(parts) == 3:
             fact = ("e", formats._ident(parts[1]), formats._ident(parts[2]))
         else:
-            raise MalformedInputError(f"bad fact line: {line!r}")
+            raise UsageError(f"bad fact line: {line!r}")
         for out in dec.feed(fact):
             print(" ".join(str(x) for x in out), flush=True)
     return 0, None
@@ -240,7 +243,7 @@ def cmd_bnf(args):
                    "level": _level(phi)}
     if args.action == "pair":
         a = load_struct(args.files[0])
-        bound = args.bound if args.bound else len(a.universe)
+        bound = len(a.universe) if args.bound is None else args.bound
         phi = phi_pair(a.signature, args.length, args.gamma, bound)
         return 0, {"formula": formats.formula_to_sexpr(phi),
                    "level": _level(phi)}
@@ -270,7 +273,7 @@ def cmd_interp(args):
     if args.action == "check":
         carrier = load_struct(args.carrier)
         target = load_struct(args.target)
-        spec = formats.parse_interp_spec(_read(args.spec))
+        spec = _parse_file(args.spec, formats.parse_interp_spec)
         rep = check_interpretation(carrier, spec, target, args.max_arity,
                                    seed=args.seed)
         return (0 if rep.passed else 1), _report_payload(rep)
@@ -317,14 +320,23 @@ def _fragment_payload(f):
                        for b in f.blocks]}
 
 
-def _fragment_from_json(data):
+def _fragment_from_text(text):
+    def integer(v):
+        if type(v) is not int:
+            raise TypeError(f"{v!r} is not an integer")
+        return v
+
     try:
-        blocks = tuple(Block(Dyadic.parse(b["point"]), b["label"], b["size"],
-                             bool(b["omega_prefix"])) for b in data["blocks"])
+        data = json.loads(text)
+        blocks = tuple(Block(formats.dyadic_from_json(b["point"]), b["label"],
+                             integer(b["size"]), bool(b["omega_prefix"]))
+                       for b in data["blocks"])
         return ShuffleFragment(tuple(data["labels"]), bool(data["omega"]),
-                               int(data["resolution"]), int(data["offset"]),
+                               integer(data["resolution"]),
+                               integer(data["offset"]),
                                blocks, bool(data.get("marked", True)))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers bad JSON and malformed dyadic points
         raise MalformedInputError(f"bad fragment: {exc}")
 
 
@@ -333,11 +345,7 @@ def cmd_shuffle(args):
         labels = sorted(_parse_set(args.labels))
         f = shuffle_build(labels, args.omega, args.resolution)
         return 0, _fragment_payload(f)
-    try:
-        data = json.loads(_read(args.file))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad fragment JSON: {exc}")
-    report = shuffle_decode(_fragment_from_json(data))
+    report = shuffle_decode(_parse_file(args.file, _fragment_from_text))
     return 0, {"report": {str(n): v for n, v in sorted(report.items())}}
 
 
@@ -461,7 +469,7 @@ def main(argv=None):
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except (MalformedInputError, PreconditionError) as exc:
+    except StructError as exc:
         print(json.dumps({"error": str(exc)}))
         return 3
     if payload is not None:

@@ -13,7 +13,7 @@ relation symbol.
 from __future__ import annotations
 
 from .core import (And, BigAnd, BigOr, Eq, Exists, Forall,
-                   MalformedInputError, Not, Or, Rel)
+                   MalformedInputError, Not, Or, PreconditionError, Rel)
 from .denseq import Dyadic
 from .fslin import fs_element
 
@@ -240,15 +240,21 @@ def interp_spec_to_text(spec):
 # order elements as JSON values
 
 
+def dyadic_from_json(x):
+    """\"5/8\" -> Dyadic; anything else is malformed input."""
+    if not isinstance(x, str):
+        raise MalformedInputError(f"{x!r} is not a dyadic string")
+    try:
+        return Dyadic.parse(x)
+    except PreconditionError as exc:
+        raise MalformedInputError(str(exc))
+
+
 def element_from_json(g, data):
     """[\"1/2\", \"5/8\", \"3/4\", 1] -> validated order element."""
     if not isinstance(data, list):
         raise MalformedInputError("element must be a JSON list")
-    items = []
-    for x in data[:-1]:
-        if not isinstance(x, str):
-            raise MalformedInputError("coordinates must be dyadic strings")
-        items.append(Dyadic.parse(x))
+    items = [dyadic_from_json(x) for x in data[:-1]]
     if not data or not isinstance(data[-1], int) or isinstance(data[-1], bool):
         raise MalformedInputError("final entry must be an integer")
     items.append(data[-1])

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from structcode.backforth import (Certificate, bf_equiv, distinguishing_move,
-                                  fingerprint, interval_equiv, lg_certify,
+from structcode.backforth import (Certificate, _matching_extensions, bf_equiv,
+                                  distinguishing_move, fingerprint,
+                                  interval_equiv, lg_certify,
                                   lg_concat_certify, phi_pair, phi_tuple)
-from structcode.core import (Digraph, Evaluator, FinLinOrder,
+from structcode.core import (Digraph, Evaluator, FinLinOrder, LoopedDigraph,
                              PreconditionError, classify, eval_formula)
 from structcode.denseq import Dyadic
 from structcode.fslin import fs_element, fs_enumerate, shape, shift_tuple
@@ -109,6 +110,44 @@ def answered(a, at, b, bt, side, move, gamma):
     return False
 
 
+class TestMatchingExtensions:
+    def test_matches_brute_force(self):
+        """Every move of distinct fresh elements is answered by exactly the
+        tuples whose fingerprint matches, in ``itertools.product`` order."""
+        rng = random.Random(5)
+
+        def looped_digraph():
+            n = rng.randrange(1, 5)
+            p = rng.random()
+            return LoopedDigraph(range(n), [(i, j) for i in range(n)
+                                            for j in range(n)
+                                            if rng.random() < p])
+
+        pairs = 0
+        for _ in range(40):
+            a, b = looped_digraph(), looped_digraph()
+            if rng.random() < 0.5:
+                b = a
+            for k in range(3):
+                for at in itertools.product(a.universe, repeat=k):
+                    bts = [bt for bt in itertools.product(b.universe, repeat=k)
+                           if fingerprint(b, bt) == fingerprint(a, at)]
+                    if not bts:
+                        continue
+                    bt = rng.choice(bts)
+                    pairs += 1
+                    fresh = [x for x in a.universe if x not in at]
+                    for ln in range(1, len(fresh) + 1):
+                        for move in itertools.permutations(fresh, ln):
+                            want = fingerprint(a, at + move)
+                            expect = [r for r in itertools.product(
+                                b.universe, repeat=ln)
+                                if fingerprint(b, bt + r) == want]
+                            assert list(_matching_extensions(
+                                a, at, move, b, bt)) == expect
+        assert pairs >= 100
+
+
 class TestPreconditions:
     def test_negative_gamma(self):
         g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
@@ -126,6 +165,11 @@ class TestPreconditions:
         for call in calls:
             with pytest.raises(PreconditionError):
                 call()
+
+    def test_negative_pair_length_or_bound(self):
+        for n, bound in ((-1, 2), (1, -1)):
+            with pytest.raises(PreconditionError):
+                phi_pair({"E": 2}, n, 1, bound)
 
     def test_signature_mismatch(self):
         g = Digraph([0, 1, 2], [(0, 1), (1, 2)])

@@ -106,6 +106,67 @@ class TestExitCodes:
         assert code == 3
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("formula", ["(F x1)", "(E x1 y)"])
+    def test_unevaluable_spec_is_three(self, tmp_path, formula):
+        # a relation the carrier lacks, or a variable left unbound
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"(domain 1 {formula})\n")
+        code, out = run(["interp", "check", "--carrier",
+                         str(DATA / "path3.graph"), "--spec", str(spec),
+                         "--target", str(DATA / "path3.graph"),
+                         "--max-arity", "1"])
+        assert code == 3
+        assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("length, bound", [("-1", "2"), ("1", "-1")])
+    def test_negative_pair_length_or_bound_is_three(self, length, bound):
+        code, out = run(["bnf", "pair", "--gamma", "1", "--length", length,
+                         "--bound", bound, str(DATA / "path3.graph")])
+        assert code == 3
+        assert "error" in json.loads(out)
+
+    def test_pair_bound_zero_is_kept(self):
+        code, out = run(["bnf", "pair", "--gamma", "1", "--length", "1",
+                         "--bound", "0", str(DATA / "path3.graph")])
+        assert code == 0
+        assert json.loads(out)["formula"] == "(bigand)"
+
+    def test_unparsable_spec_is_two(self, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("(domain 1 (E x1 x1)\n")
+        code, out = run(["interp", "check", "--carrier",
+                         str(DATA / "path3.graph"), "--spec", str(spec),
+                         "--target", str(DATA / "path3.graph"),
+                         "--max-arity", "1"])
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("key, value", [("resolution", "four"),
+                                            ("resolution", 2.5),
+                                            ("point", 5),
+                                            ("point", "1/3")])
+    def test_unparsable_fragment_is_two(self, tmp_path, key, value):
+        code, out = run(["shuffle", "build", "--labels", "0,1",
+                         "--resolution", "4"])
+        data = json.loads(out)
+        (data["blocks"][0] if key == "point" else data)[key] = value
+        frag = tmp_path / "frag.json"
+        frag.write_text(json.dumps(data))
+        code, out = run(["shuffle", "decode", str(frag)])
+        assert code == 2
+        assert out == ""
+
+    def test_unparsable_fact_line_is_two(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("v 1\nx 1 2\n"))
+        code, _ = run(["marker", "stream-decode"])
+        assert code == 2
+
+    def test_non_dyadic_coordinate_is_nonmember(self):
+        code, out = run(["fs", "member", "--graph", str(DATA / "edge2.graph"),
+                         '["1/3",0]'])
+        assert code == 1
+        assert json.loads(out)["member"] is False
+
     def test_nonmember_is_one(self):
         code, out = run(["fs", "member", "--graph", str(DATA / "edge2.graph"),
                          '["1/2",0]'])
