@@ -26,32 +26,22 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (BigAnd, BigOr, Eq, Exists, FinLinOrder, Forall, Not, Or,
-                   PreconditionError, Rel, _values_of, conj, disj)
+                   PreconditionError, Rel, _values_of, atom_places, conj, disj,
+                   fingerprint)
 from .fslin import fs_compare, mentions, min_length_in_interval, shape, sort_elements
 
 
 # ---------------------------------------------------------------------------
-# fingerprints: atomic data of a tuple, as a hashable value
-
-
-def fingerprint(struct, tup):
-    eq = tuple(tup.index(x) for x in tup)
-    rels = []
-    for name in sorted(struct.signature):
-        ar = struct.signature[name]
-        bits = tuple(struct.rel(name, args)
-                     for args in itertools.product(tup, repeat=ar))
-        rels.append((name, bits))
-    return (eq, tuple(rels))
+# game search
 
 
 @functools.lru_cache(maxsize=256)
 def _place_facts(signature, i):
     """(name, argument getter) for each relation fact that reads place i
     and no later place; ``signature`` is a sorted tuple of (name, arity)."""
-    return tuple((name, _values_of(pos)) for name, ar in signature
-                 for pos in itertools.product(range(i + 1), repeat=ar)
-                 if i in pos)
+    return tuple((name, _values_of(pos))
+                 for name, places in atom_places(signature, i + 1)
+                 for pos in places if i in pos)
 
 
 def _matching_extensions(a, atup, ext, b, btup):
@@ -181,27 +171,23 @@ def _var(i):
 
 
 def _atoms(signature, vs):
-    """The atomic formulas over the variables vs, each with the positions
-    it reads: x_i = x_j for i < j, then each relation in name order over
-    ``itertools.product`` positions."""
-    n = len(vs)
-    for pos in itertools.combinations(range(n), 2):
-        yield Eq(vs[pos[0]], vs[pos[1]]), pos
-    for name in sorted(signature):
-        for pos in itertools.product(range(n), repeat=signature[name]):
-            yield Rel(name, tuple(vs[p] for p in pos)), pos
+    """The atomic formulas over the variables vs, in ``fingerprint`` order:
+    x_i = x_j for i < j, then the relation atoms of ``atom_places``."""
+    for i, j in itertools.combinations(range(len(vs)), 2):
+        yield Eq(vs[i], vs[j])
+    for name, places in atom_places(tuple(sorted(signature.items())), len(vs)):
+        for pos in places:
+            yield Rel(name, tuple(vs[p] for p in pos))
 
 
 def _atomic_diagram(struct, tup):
-    """Quantifier-free diagram of a tuple over variables x1, x2, ..."""
-    parts = []
-    xs = [_var(i) for i in range(len(tup))]
-    for lit, pos in _atoms(struct.signature, xs):
-        vals = tuple(tup[p] for p in pos)
-        holds = vals[0] == vals[1] if type(lit) is Eq else \
-            struct.rel(lit.name, vals)
-        parts.append(lit if holds else Not(lit))
-    return conj(parts)
+    """Quantifier-free diagram of a tuple over variables x1, x2, ...: each
+    atom of ``_atoms`` or its negation, as ``fingerprint`` decides."""
+    eq, rels = fingerprint(struct, tup)
+    holds = [x == y for x, y in itertools.combinations(eq, 2)]
+    holds += [bit for _, bits in rels for bit in bits]
+    atoms = _atoms(struct.signature, [_var(i) for i in range(len(tup))])
+    return conj(a if h else Not(a) for a, h in zip(atoms, holds))
 
 
 def phi_tuple(struct, tup, gamma, bound=None):
@@ -266,8 +252,8 @@ def phi_pair(signature, n, gamma, bound):
     def build(length, g):
         if g == 0:
             parts = []
-            for (px, _), (py, _) in zip(_atoms(signature, xs(length)),
-                                        _atoms(signature, ys(length))):
+            for px, py in zip(_atoms(signature, xs(length)),
+                              _atoms(signature, ys(length))):
                 parts.append(Or((Not(px), py)))
                 parts.append(Or((Not(py), px)))
             return conj(parts)

@@ -16,11 +16,11 @@ import sys
 from . import formats
 from .backforth import (bf_equiv, distinguishing_move, interval_equiv,
                         lg_certify, lg_concat_certify, phi_pair, phi_tuple)
-from .codings import (daisy_decode, daisy_encode, shuffle_build,
+from .codings import (OMEGA, daisy_decode, daisy_encode, shuffle_build,
                       shuffle_decode, Block, ShuffleFragment)
 from .core import (Digraph, FinLinOrder, LoopedDigraph, MalformedInputError,
                    PreconditionError, StructError, UGraph, classify)
-from .fslin import (block_of, fs_compare, fs_enumerate, mentions,
+from .fslin import (block_of, fs_compare, fs_element, fs_enumerate, mentions,
                     min_length_in_interval, shape, shape_formulas, shift_tuple)
 from .interp import builtin_int_in_nat, check_interpretation, marker_interp, trivial_interp
 from .marker import MarkerStreamDecoder, marker_decode, marker_encode
@@ -48,27 +48,17 @@ def _parse_file(path, parse):
         raise UsageError(f"{path}: {exc}")
 
 
-def _load_parts(path):
-    return _parse_file(path, formats.parse_struct_text)
-
-
-def load_digraph(path):
-    vertices, edges, order = _load_parts(path)
+def load_graph(path, cls=Digraph):
+    """A graph file as a ``cls``: Digraph, or UGraph."""
+    vertices, edges, order = _parse_file(path, formats.parse_struct_text)
     if order is not None:
         raise MalformedInputError(f"{path}: expected a graph, found an order")
-    return Digraph(vertices, edges)
-
-
-def load_ugraph(path):
-    vertices, edges, order = _load_parts(path)
-    if order is not None:
-        raise MalformedInputError(f"{path}: expected a graph, found an order")
-    return UGraph(vertices, edges)
+    return cls(vertices, edges)
 
 
 def load_struct(path):
     """A graph file becomes a digraph (loops allowed), an order file an order."""
-    vertices, edges, order = _load_parts(path)
+    vertices, edges, order = _parse_file(path, formats.parse_struct_text)
     if order is not None:
         if vertices or edges:
             raise MalformedInputError(f"{path}: order files take only o lines")
@@ -88,22 +78,31 @@ def _graph_payload(g):
             "edges": [list(e) for e in sorted(edges, key=lambda e: tuple(map(key, e)))]}
 
 
-def _elem_arg(g, raw):
+def _json_arg(raw, what):
     try:
-        data = json.loads(raw)
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"bad element JSON: {exc}")
-    return formats.element_from_json(g, data)
+        raise UsageError(f"bad {what} JSON: {exc}")
+
+
+def _element(g, data):
+    """A malformed element is a usage error, a non-member a precondition one."""
+    try:
+        items = formats.element_items_from_json(data)
+    except MalformedInputError as exc:
+        raise UsageError(f"bad element: {exc}")
+    return fs_element(g, items)
+
+
+def _elem_arg(g, raw):
+    return _element(g, _json_arg(raw, "element"))
 
 
 def _tuple_arg(g, raw):
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad tuple JSON: {exc}")
+    data = _json_arg(raw, "tuple")
     if not isinstance(data, list):
         raise UsageError("tuple must be a JSON list of elements")
-    return tuple(formats.element_from_json(g, d) for d in data)
+    return tuple(_element(g, d) for d in data)
 
 
 def _vertex_tuple(struct, ids):
@@ -136,14 +135,14 @@ def _level(phi):
 
 def cmd_marker(args):
     if args.action == "encode":
-        code = marker_encode(load_digraph(args.file))
+        code = marker_encode(load_graph(args.file))
         payload = _graph_payload(code.graph)
         if args.tags:
             payload["tags"] = {str(v): list(map(str, tag))
                                for v, tag in sorted(code.provenance.items())}
         return 0, payload
     if args.action == "decode":
-        g = marker_decode(load_ugraph(args.file))
+        g = marker_decode(load_graph(args.file, UGraph))
         return 0, _graph_payload(g)
     # stream-decode: facts in, decoded facts out as they stabilize
     dec = MarkerStreamDecoder()
@@ -164,12 +163,10 @@ def cmd_marker(args):
 
 
 def cmd_fs(args):
-    g = load_digraph(args.graph)
+    g = load_graph(args.graph)
     if args.action == "member":
         try:
-            formats.element_from_json(g, json.loads(args.elems[0]))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad element JSON: {exc}")
+            formats.element_from_json(g, _json_arg(args.elems[0], "element"))
         except MalformedInputError as exc:
             return 1, {"member": False, "reason": str(exc)}
         return 0, {"member": True}
@@ -287,7 +284,7 @@ def cmd_interp(args):
         _, rep = trivial_interp(target, carrier)
         return (0 if rep.passed else 1), _report_payload(rep)
     if args.action == "marker":
-        g = load_digraph(args.graph)
+        g = load_graph(args.graph)
         carrier, spec, target = marker_interp(g)
         rep = check_interpretation(carrier, spec, target, 1, seed=args.seed)
         return (0 if rep.passed else 1), _report_payload(rep)
@@ -307,7 +304,7 @@ def cmd_daisy(args):
     if args.action == "encode":
         g = daisy_encode(_parse_set(args.set), args.bound)
         return 0, _graph_payload(g)
-    s, bound = daisy_decode(load_ugraph(args.file))
+    s, bound = daisy_decode(load_graph(args.file, UGraph))
     return 0, {"set": sorted(s), "bound": bound}
 
 
@@ -321,20 +318,31 @@ def _fragment_payload(f):
 
 
 def _fragment_from_text(text):
-    def integer(v):
-        if type(v) is not int:
-            raise TypeError(f"{v!r} is not an integer")
+    def check(v, ok, what):
+        if not ok(v):
+            raise TypeError(f"{v!r} is not {what}")
         return v
+
+    def typed(v, kind):
+        return check(v, lambda x: type(x) is kind, f"a JSON {kind.__name__}")
 
     try:
         data = json.loads(text)
-        blocks = tuple(Block(formats.dyadic_from_json(b["point"]), b["label"],
-                             integer(b["size"]), bool(b["omega_prefix"]))
+        labels = tuple(check(x, lambda x: type(x) is int and x >= 0, "a natural")
+                       for x in typed(data["labels"], list))
+        omega = typed(data["omega"], bool)
+
+        def label(v):
+            return type(v) is int and v in labels or omega and v == OMEGA
+
+        blocks = tuple(Block(formats.dyadic_from_json(b["point"]),
+                             check(b["label"], label, "a fragment label"),
+                             typed(b["size"], int),
+                             typed(b["omega_prefix"], bool))
                        for b in data["blocks"])
-        return ShuffleFragment(tuple(data["labels"]), bool(data["omega"]),
-                               integer(data["resolution"]),
-                               integer(data["offset"]),
-                               blocks, bool(data.get("marked", True)))
+        return ShuffleFragment(labels, omega, typed(data["resolution"], int),
+                               typed(data["offset"], int), blocks,
+                               typed(data.get("marked", True), bool))
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers bad JSON and malformed dyadic points
         raise MalformedInputError(f"bad fragment: {exc}")
@@ -466,7 +474,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code, payload = HANDLERS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, UnicodeDecodeError) as exc:
+        # an input file or stdin that is not UTF-8 is malformed input
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except StructError as exc:

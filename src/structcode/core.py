@@ -2,14 +2,16 @@
 
 This module provides the shared substrate for everything else in the
 package: finite structures with named relations, an AST for (bounded
-fragments of) infinitary first-order formulas, brute-force evaluation on
-finite models, a syntactic complexity classifier, enumeration of atomic
-types of distinct tuples in the one-binary-relation language, and a
-backtracking isomorphism search with colour refinement.
+fragments of) infinitary first-order formulas, evaluation by compiled
+backtracking joins over relation indexes, a syntactic complexity
+classifier, the one table of a tuple's atomic facts (``atom_places``,
+read by ``fingerprint`` and atomic types of distinct digraph tuples), and
+a backtracking isomorphism search with colour refinement.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -271,29 +273,6 @@ def disj(parts):
 def distinct_all(names):
     """Pairwise inequality of the listed variables."""
     return [Not(Eq(a, b)) for a, b in itertools.combinations(names, 2)]
-
-
-def free_vars(phi, _cache=None):
-    if _cache is None:
-        _cache = {}
-    got = _cache.get(id(phi))
-    if got is not None:
-        return got[0]
-    if isinstance(phi, Rel):
-        out = frozenset(phi.args)
-    elif isinstance(phi, Eq):
-        out = frozenset((phi.left, phi.right))
-    elif isinstance(phi, Not):
-        out = free_vars(phi.body, _cache)
-    elif isinstance(phi, (And, Or, BigAnd, BigOr)):
-        out = frozenset().union(*(free_vars(p, _cache) for p in phi.parts)) \
-            if phi.parts else frozenset()
-    elif isinstance(phi, (Exists, Forall)):
-        out = free_vars(phi.body, _cache) - frozenset(phi.vars)
-    else:
-        raise EvalError(f"not a formula node: {phi!r}")
-    _cache[id(phi)] = (out, phi)  # keep phi alive so its id is not reused
-    return out
 
 
 # Evaluation dispatches on the node type through _EVAL, a module-level table
@@ -599,7 +578,29 @@ def classify(phi):
 
 
 # ---------------------------------------------------------------------------
-# atomic types of distinct tuples (one binary relation, loops allowed)
+# atomic facts of tuples; atomic types of distinct tuples in one binary relation
+
+
+@functools.lru_cache(maxsize=256)
+def atom_places(signature, n):
+    """The relation atoms over n places, the one order every atomic-facts
+    enumeration follows: per relation in name order, (name, the places its
+    atoms read in ``itertools.product`` order).  ``signature`` is a sorted
+    tuple of (name, arity)."""
+    return tuple((name, tuple(itertools.product(range(n), repeat=ar)))
+                 for name, ar in signature)
+
+
+def fingerprint(struct, tup):
+    """The atomic facts of a tuple as a hashable value: its equality pattern
+    (the first index of each entry), then per relation (name, the truth of
+    each atom in ``atom_places`` order)."""
+    rel, get = struct.rel, tup.__getitem__
+    return (tuple(map(tup.index, tup)),
+            tuple((name, tuple([rel(name, tuple(map(get, pos)))
+                                for pos in places]))
+                  for name, places in atom_places(
+                      tuple(sorted(struct.signature.items())), len(tup))))
 
 
 @dataclass(frozen=True)
@@ -618,9 +619,7 @@ class AtomicType:
 
     @property
     def index(self):
-        value = 0
-        for f in self.facts:
-            value = (value << 1) | (1 if f else 0)
+        value = sum(1 << i for i, f in enumerate(reversed(self.facts)) if f)
         return type_start_index(self.length) + value
 
 
@@ -636,12 +635,15 @@ def type_count(n):
 def atomic_type_of(graph, tuple_):
     """Atomic type of a tuple of *distinct* vertices of a digraph."""
     t = tuple(tuple_)
+    if graph.signature != {"E": 2}:
+        raise PreconditionError("atomic types are of one binary relation E")
     if len(set(t)) != len(t):
         raise PreconditionError(f"tuple {t!r} has repeated entries")
+    universe = set(graph.universe)
     for v in t:
-        if v not in set(graph.universe):
+        if v not in universe:
             raise PreconditionError(f"{v!r} is not a vertex")
-    facts = tuple(graph.rel("E", (a, b)) for a in t for b in t)
+    _, ((_, facts),) = fingerprint(graph, t)
     return AtomicType(len(t), facts)
 
 
@@ -660,11 +662,8 @@ def type_from_index(m):
 
 def tuples_of_type(graph, atype):
     """All distinct-vertex tuples of ``graph`` realizing the given type."""
-    out = []
-    for t in itertools.permutations(graph.universe, atype.length):
-        if atomic_type_of(graph, t) == atype:
-            out.append(t)
-    return out
+    return [t for t in itertools.permutations(graph.universe, atype.length)
+            if atomic_type_of(graph, t) == atype]
 
 
 # ---------------------------------------------------------------------------

@@ -250,15 +250,20 @@ def dyadic_from_json(x):
         raise MalformedInputError(str(exc))
 
 
-def element_from_json(g, data):
-    """[\"1/2\", \"5/8\", \"3/4\", 1] -> validated order element."""
+def element_items_from_json(data):
+    """[\"1/2\", \"5/8\", \"3/4\", 1] -> [Dyadic, Dyadic, Dyadic, 1], membership
+    unchecked; anything but dyadic strings ending in an integer is malformed."""
     if not isinstance(data, list):
         raise MalformedInputError("element must be a JSON list")
     items = [dyadic_from_json(x) for x in data[:-1]]
     if not data or not isinstance(data[-1], int) or isinstance(data[-1], bool):
         raise MalformedInputError("final entry must be an integer")
-    items.append(data[-1])
-    return fs_element(g, items)
+    return items + [data[-1]]
+
+
+def element_from_json(g, data):
+    """[\"1/2\", \"5/8\", \"3/4\", 1] -> validated order element."""
+    return fs_element(g, element_items_from_json(data))
 
 
 def element_to_json(e):

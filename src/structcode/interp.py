@@ -162,7 +162,7 @@ def check_interpretation(carrier, spec, target, max_arity, seed=0,
             if alts != args and rel_eval(name, alts, "pos") != holds:
                 failures.append((f"{name}-not-congruent", (args, alts)))
         quotient_rels[name] = table
-        for _ in range(congruence_samples):
+        for _ in range(congruence_samples if classes else 0):
             combo = tuple(rng.randrange(len(classes)) for _ in range(k))
             a = tuple(classes[c][rng.randrange(len(classes[c]))] for c in combo)
             b = tuple(classes[c][rng.randrange(len(classes[c]))] for c in combo)

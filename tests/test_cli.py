@@ -1,13 +1,18 @@
 """Command-line interface: payloads, exit codes, byte-stable output."""
 
+import argparse
 import io
 import contextlib
 import json
 import pathlib
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from structcode.cli import main
+from structcode.cli import build_parser, main
 
 HERE = pathlib.Path(__file__).parent
 DATA = HERE / "data"
@@ -40,6 +45,11 @@ GOLDEN_CASES = {
         ["shuffle", "build", "--labels", "0,1", "--omega",
          "--resolution", "4"],
 }
+
+
+def _stdin(data):
+    """A strict UTF-8 text stream over the given bytes, like ``sys.stdin``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def run(argv):
@@ -141,20 +151,62 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
-    @pytest.mark.parametrize("key, value", [("resolution", "four"),
-                                            ("resolution", 2.5),
-                                            ("point", 5),
-                                            ("point", "1/3")])
+    @pytest.mark.parametrize("key, value", [
+        ("resolution", "four"), ("resolution", 2.5), ("point", 5),
+        ("point", "1/3"),
+        ("labels", "0,3"), ("labels", [0, 3, -1]), ("labels", [0, 3, 2.5]),
+        ("labels", [0, 3, True]),
+        ("label", [0]), ("label", 5), ("label", "x"), ("label", True),
+        ("omega", False), ("omega", "x"), ("omega", 1),
+        ("omega_prefix", None), ("omega_prefix", "x"),
+        ("marked", 1), ("marked", "yes")])
     def test_unparsable_fragment_is_two(self, tmp_path, key, value):
-        code, out = run(["shuffle", "build", "--labels", "0,1",
+        # ("omega", False) leaves the fragment's omega blocks without a label
+        code, out = run(["shuffle", "build", "--labels", "0,3", "--omega",
                          "--resolution", "4"])
         data = json.loads(out)
-        (data["blocks"][0] if key == "point" else data)[key] = value
+        block_keys = ("point", "label", "omega_prefix")
+        (data["blocks"][0] if key in block_keys else data)[key] = value
         frag = tmp_path / "frag.json"
         frag.write_text(json.dumps(data))
         code, out = run(["shuffle", "decode", str(frag)])
         assert code == 2
         assert out == ""
+
+    def test_non_utf8_file_is_two(self, tmp_path):
+        bad = tmp_path / "bad.graph"
+        bad.write_bytes(b"v 1\n\xff\xfe\n")
+        code, out = run(["marker", "encode", str(bad)])
+        assert code == 2
+        assert out == ""
+
+    def test_empty_graph_interp_marker_is_zero(self, tmp_path):
+        # no domain elements: no congruence samples to draw
+        empty = tmp_path / "empty.graph"
+        empty.write_text("")
+        code, out = run(["interp", "marker", "--graph", str(empty)])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_non_utf8_stdin_is_two(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", _stdin(b"v 1\n\xff\xfe\n"))
+        code, _ = run(["marker", "stream-decode"])
+        assert code == 2
+
+    @pytest.mark.parametrize("action, elems, want", [
+        # a coordinate that is not dyadic, and an element that is not a list
+        ("compare", ['["1/3",0]', '["1/2",0]'], 2),
+        ("mentions", ["5"], 2),
+        # a well-formed element outside the order is a precondition failure
+        ("mentions", ['["1/2",7]'], 3),
+        # member answers every element argument that is JSON
+        ("member", ["5"], 1)])
+    def test_element_argument(self, action, elems, want):
+        code, out = run(["fs", action, "--graph", str(DATA / "edge2.graph"),
+                         *elems])
+        assert code == want
+        if want == 2:
+            assert out == ""
 
     def test_unparsable_fact_line_is_two(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("v 1\nx 1 2\n"))
@@ -238,3 +290,93 @@ class TestRoundTrips:
         code, out = run(argv)
         assert code == 0
         assert json.loads(out)["verdict"] == "Equivalent"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: random argv, files and stdin never end in a traceback
+
+
+def _commands(parser, path=()):
+    """(subcommand path, its parser) for every leaf of the CLI."""
+    for act in parser._actions:
+        if isinstance(act, argparse._SubParsersAction):
+            for name, sub in act.choices.items():
+                yield from _commands(sub, path + (name,))
+            return
+    yield path, parser
+
+
+_COMMANDS = sorted(_commands(build_parser()), key=lambda c: c[0])
+_NUMBERS = st.integers(-2, 3).map(str)
+_FILE_ARGS = {"file", "files", "graph", "carrier", "target", "spec"}
+_TEXTS = st.sampled_from(
+    ["FILE1", "FILE2", "", "0", "0,1", "1,0,1", "a", "x", "5", "[]", "[[]]",
+     '["1/2",0]', '["1/3",0]', '["1/2",7]', '["1/4","1/2","3/4",0]',
+     '["1/4","1/2","3/4",1]', '["3/4",0]', '[["1/4","1/2","3/4",0]]',
+     '[["1/2",0],["3/4",0]]', "{", "null"])
+_GRAPH = st.lists(st.tuples(st.sampled_from("ve"), st.integers(0, 2),
+                            st.integers(0, 2)), max_size=6).map(
+    lambda recs: "".join(f"v {u}\n" if kind == "v" else f"e {u} {v}\n"
+                         for kind, u, v in recs))
+_ORDER = st.lists(st.sampled_from("0123ab"), max_size=4, unique=True).map(
+    lambda xs: "o " + " ".join(xs) + "\n")
+_OTHER = st.sampled_from(
+    ["(domain 1 (E x1 x1))\n(target E 2)\n", "(domain 1 (and))\n",
+     "(rel-pos E 1 1 (E x1 y1))\n", "(domain 1 (E x1 x1)\n",
+     "e 0\n", "z 1\n", "v 1 # c\n", '{"labels": [0]}', "[1]"])
+_CONTENTS = st.one_of(st.binary(max_size=24),
+                      st.one_of(_GRAPH, _ORDER, _OTHER, st.text(max_size=24))
+                      .map(str.encode))
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for one subcommand: every required option, some optional
+    ones and the positionals, with values from the CLI's own vocabulary."""
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--seed", draw(_NUMBERS)]
+    path, parser = draw(st.sampled_from(_COMMANDS))
+    argv += list(path)
+    for act in parser._actions:
+        if isinstance(act, argparse._HelpAction):
+            continue
+        if act.option_strings:
+            if not (act.required or draw(st.booleans())):
+                continue
+            argv.append(act.option_strings[0])
+            if act.nargs == 0:
+                continue
+        if act.choices:
+            values = st.sampled_from(list(act.choices) + ["x"])
+        elif act.dest in _FILE_ARGS:
+            values = st.one_of(st.sampled_from(["FILE1", "FILE2"]), _TEXTS)
+        elif act.type is int:
+            values = st.one_of(_NUMBERS, st.just("x"))
+        else:
+            values = st.one_of(_TEXTS, _NUMBERS)
+        count = act.nargs if isinstance(act.nargs, int) else \
+            draw(st.integers(1, 3)) if act.nargs == "+" else 1
+        argv += [draw(values) for _ in range(count)]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_TEXTS))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs(), _CONTENTS, _CONTENTS, _CONTENTS)
+def test_fuzz_exit_codes(argv, file1, file2, stdin):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, data in (("FILE1", file1), ("FILE2", file2)):
+            files[name] = pathlib.Path(tmp, name)
+            files[name].write_bytes(data)
+        argv = [str(files.get(a, a)) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch("sys.stdin", _stdin(stdin)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)

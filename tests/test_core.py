@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from structcode.core import (And, BigAnd, BigOr, Digraph, Eq, EvalError,
                              Evaluator, Exists, FinLinOrder, Forall,
                              LoopedDigraph, Not, Or, PreconditionError, Rel,
-                             Structure, UGraph, atomic_type_of, classify,
-                             conj, disj, distinct_all, eval_formula,
-                             free_vars, iso_check, tuples_of_type, type_count,
-                             type_from_index, type_start_index)
-from structcode.backforth import phi_tuple
+                             Structure, UGraph, atom_places, atomic_type_of,
+                             classify, conj, disj, distinct_all, eval_formula,
+                             fingerprint, iso_check, tuples_of_type,
+                             type_count, type_from_index, type_start_index)
+from structcode.backforth import _atoms as atoms_over
+from structcode.backforth import _atomic_diagram, _place_facts, phi_tuple
 
 
 def path3():
@@ -139,10 +140,6 @@ class TestEvaluator:
         phi = conj(distinct_all(("x", "y")))
         assert eval_formula(g, phi, {"x": 0, "y": 1})
         assert not eval_formula(g, phi, {"x": 0, "y": 0})
-
-    def test_free_vars(self):
-        phi = Exists(("y",), And((Rel("E", ("x", "y")), Eq("z", "y"))))
-        assert free_vars(phi) == {"x", "z"}
 
     def test_unknown_node_raises(self):
         with pytest.raises(EvalError):
@@ -277,6 +274,77 @@ class TestClassify:
 
 
 # ---------------------------------------------------------------------------
+# atomic facts of tuples
+
+
+def mixed():
+    """A structure with a binary, a unary and a nullary relation."""
+    return Structure("abc", {"E": 2, "P": 1, "Z": 0},
+                     {"E": {("a", "c"), ("b", "b"), ("c", "a")},
+                      "P": {("c",)}, "Z": {()}})
+
+
+F, T = False, True
+
+
+class TestAtomicFacts:
+    """Every atomic-facts enumeration follows ``atom_places``: relations in
+    name order, the atoms of each in ``itertools.product`` order."""
+
+    SIG = (("E", 2), ("P", 1), ("Z", 0))
+
+    def test_fingerprint_pinned(self):
+        s = mixed()
+        assert fingerprint(s, ("a", "b", "c")) == (
+            (0, 1, 2), (("E", (F, F, T, F, T, F, T, F, F)),
+                        ("P", (F, F, T)), ("Z", (T,))))
+        assert fingerprint(s, ("c", "a", "c")) == (
+            (0, 1, 0), (("E", (F, T, F, T, F, T, F, T, F)),
+                        ("P", (T, F, T)), ("Z", (T,))))
+        # the empty tuple keeps an entry for every relation
+        assert fingerprint(s, ()) == \
+            ((), (("E", ()), ("P", ()), ("Z", (T,))))
+
+    def test_atom_places(self):
+        assert atom_places(self.SIG, 2) == (
+            ("E", ((0, 0), (0, 1), (1, 0), (1, 1))),
+            ("P", ((0,), (1,))), ("Z", ((),)))
+
+    def test_atomic_type_facts_are_fingerprint_bits(self):
+        g = LoopedDigraph([0, 1, 2], [(0, 0), (0, 2), (2, 1), (1, 0)])
+        for n in range(4):
+            for t in itertools.permutations(g.universe, n):
+                _, ((_, bits),) = fingerprint(g, t)
+                facts = atomic_type_of(g, t).facts
+                assert facts == bits
+                assert facts == tuple(g.rel("E", (a, b)) for a in t for b in t)
+
+    def test_diagram_follows_fingerprint(self):
+        s = mixed()
+        xs = ["x1", "x2", "x3"]
+        for t in itertools.product(s.universe, repeat=3):
+            eq, rels = fingerprint(s, t)
+            lits = _atomic_diagram(s, t).parts
+            atoms = [lit.body if type(lit) is Not else lit for lit in lits]
+            assert atoms == list(atoms_over(s.signature, xs))
+            assert atoms[3:] == [Rel(name, tuple(xs[p] for p in pos))
+                                 for name, places in atom_places(self.SIG, 3)
+                                 for pos in places]
+            truth = [eq[i] == eq[j]
+                     for i, j in itertools.combinations(range(3), 2)]
+            truth += [bit for _, bits in rels for bit in bits]
+            assert [type(lit) is not Not for lit in lits] == truth
+
+    def test_place_facts_split_atom_places_by_last_place(self):
+        places = tuple(range(3))
+        for i in places:
+            got = [(name, get(places)) for name, get in _place_facts(self.SIG, i)]
+            assert got == [(name, pos)
+                           for name, ps in atom_places(self.SIG, 3)
+                           for pos in ps if pos and max(pos) == i]
+
+
+# ---------------------------------------------------------------------------
 # atomic types of distinct tuples
 
 
@@ -297,6 +365,11 @@ class TestAtomicTypes:
             n = t.length
             offset = m - type_start_index(n)
             assert 0 <= offset < type_count(n)
+
+    def test_needs_one_binary_relation(self):
+        for s in (FinLinOrder([0, 1]), mixed()):
+            with pytest.raises(PreconditionError):
+                atomic_type_of(s, ())
 
     def test_type_of_tuple(self):
         g = LoopedDigraph([0, 1], [(0, 0), (0, 1)])
