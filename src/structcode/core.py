@@ -41,31 +41,54 @@ class Structure:
     """A finite relational structure.
 
     ``universe`` is a tuple of hashable elements, ``signature`` maps relation
-    names to arities, ``relations`` maps names to frozensets of tuples.
+    names to arities, ``relations`` maps names to sets of tuples.  Only
+    ``add`` changes a structure: it appends elements and facts, never
+    removes them, and keeps every index built by ``index`` up to date, so
+    the same structure serves a batch decode and a stream fed fact by fact.
     """
 
     def __init__(self, universe, signature, relations):
         self.universe = tuple(universe)
         self.signature = dict(signature)
-        uset = set(self.universe)
-        if len(uset) != len(self.universe):
+        self._elements = set(self.universe)
+        if len(self._elements) != len(self.universe):
             raise PreconditionError("universe has repeated elements")
-        rels = {}
-        for name, arity in self.signature.items():
-            tuples = frozenset(tuple(t) for t in relations.get(name, ()))
-            for t in tuples:
-                if len(t) != arity:
-                    raise PreconditionError(
-                        f"tuple {t!r} has wrong arity for relation {name}")
-                if any(x not in uset for x in t):
-                    raise PreconditionError(
-                        f"tuple {t!r} mentions elements outside the universe")
-            rels[name] = tuples
-        extra = set(relations) - set(self.signature)
+        extra = sorted(set(relations) - set(self.signature))
         if extra:
-            raise PreconditionError(f"relations not in signature: {sorted(extra)}")
-        self.relations = rels
+            raise PreconditionError(f"relations not in signature: {extra}")
+        self.relations = {name: set() for name in self.signature}
         self._index = {}
+        self.add(facts=[(name, t) for name, ts in relations.items()
+                        for t in ts])
+
+    def add(self, elements=(), facts=()):
+        """Append ``elements`` to the universe and add ``facts``, pairs
+        (relation name, tuple), updating every index already built.
+        Elements and facts already present are skipped.  A fact of an
+        unknown relation, of the wrong arity or over elements outside the
+        universe raises PreconditionError, and then nothing is added."""
+        new = dict.fromkeys(x for x in elements if x not in self._elements)
+        known = self._elements.union(new) if new else self._elements
+        rows = []
+        for name, t in facts:
+            t = tuple(t)
+            if self.signature.get(name) != len(t):
+                raise PreconditionError(f"tuple {t!r} does not fit relation "
+                                        f"{name!r} of the signature")
+            if not known.issuperset(t):
+                raise PreconditionError(
+                    f"tuple {t!r} mentions elements outside the universe")
+            rows.append((name, t))
+        self.universe += tuple(new)
+        self._elements = known
+        for name, t in rows:
+            tuples = self.relations[name]
+            if t not in tuples:
+                tuples.add(t)
+                for (n, positions), idx in self._index.items():
+                    if n == name:
+                        idx.setdefault(tuple([t[i] for i in positions]),
+                                       []).append(t)
 
     def rel(self, name, args):
         try:
@@ -74,25 +97,26 @@ class Structure:
             raise EvalError(f"unknown relation {name!r}")
         return tuple(args) in tuples
 
+    def index(self, name, positions):
+        """The tuples of relation ``name`` grouped by their values at
+        ``positions`` (a tuple): a dict from value tuples to lists of
+        tuples, built on first use."""
+        idx = self._index.get((name, positions))
+        if idx is None:
+            try:
+                tuples = self.relations[name]
+            except KeyError:
+                raise EvalError(f"unknown relation {name!r}")
+            idx = self._index[name, positions] = {}
+            for t in tuples:
+                idx.setdefault(tuple([t[i] for i in positions]), []).append(t)
+        return idx
+
     def matches(self, name, pattern):
         """All relation tuples consistent with ``pattern`` (None = free slot)."""
-        try:
-            tuples = self.relations[name]
-        except KeyError:
-            raise EvalError(f"unknown relation {name!r}")
-        bound = tuple((i, v) for i, v in enumerate(pattern) if v is not None)
-        if not bound:
-            return tuples
-        # index on the exact set of bound positions
-        positions = tuple(i for i, _ in bound)
-        key = (name, positions)
-        idx = self._index.get(key)
-        if idx is None:
-            idx = {}
-            for t in tuples:
-                idx.setdefault(tuple(t[i] for i in positions), []).append(t)
-            self._index[key] = idx
-        return idx.get(tuple(v for _, v in bound), [])
+        positions = tuple([i for i, v in enumerate(pattern) if v is not None])
+        return self.index(name, positions).get(
+            tuple([pattern[i] for i in positions]), [])
 
     def key(self):
         """Canonical hashable form, for use as a cache key or in comparisons."""
@@ -358,9 +382,10 @@ def _literals_hold(literals, env, rel):
 
 def _values_of(args):
     """A function from an environment to the tuple of values of ``args``."""
-    if len(args) >= 2:
-        return itemgetter(*args)
-    return lambda env: tuple([env[a] for a in args])
+    if len(args) == 1:
+        a, = args
+        return lambda env: (env[a],)
+    return itemgetter(*args) if args else lambda env: ()
 
 
 def _join_plan(todo, conjuncts, outer):
@@ -370,12 +395,14 @@ def _join_plan(todo, conjuncts, outer):
     leftovers)``: ``pre`` holds the literals the outer variables decide;
     ``steps`` binds the variables of ``todo`` in order, each as ``(var,
     candidates, literals)``, where the candidates are the whole universe
-    (None), the value of an equal variable (``("eq", other)``) or a
-    relation index lookup (``("rel", name, pattern, slot)``), and the
-    literals are those decided once ``var`` is bound; ``leftovers`` are the
-    other conjuncts, checked once every variable is bound.  Literals are
-    compiled as ``(getter, relation name or None for =, wanted truth)``,
-    where ``getter(env)`` gives the argument values.
+    (None), the value of an equal variable (``("eq", other)``) or the
+    ``slot`` entries of a relation index lookup (``("rel", name, positions,
+    getter, slot)``, ``getter(env)`` giving the values at the bound
+    ``positions``), and the literals are those decided once ``var`` is
+    bound; ``leftovers`` are the other conjuncts, checked once every
+    variable is bound.  Literals are compiled as ``(getter, relation name
+    or None for =, wanted truth)``, where ``getter(env)`` gives the
+    argument values.
     """
     level = dict.fromkeys(outer, -1)
     level.update((v, i) for i, v in enumerate(todo))
@@ -408,9 +435,10 @@ def _join_plan(todo, conjuncts, outer):
             if t is Eq:
                 cands[i] = ("eq", args[1] if args[0] == var else args[0])
             else:
+                slot = args.index(var)
                 cands[i] = ("rel", c.name,
-                            tuple(None if a == var else a for a in args),
-                            args.index(var))
+                            tuple(j for j in range(len(args)) if j != slot),
+                            _values_of(args[:slot] + args[slot + 1:]), slot)
             continue
         lit = (_values_of(args), c.name if t is Rel else None, want)
         (pre if i < 0 else pending[i]).append(lit)
@@ -479,9 +507,9 @@ class Evaluator:
         elif cand[0] == "eq":
             values = (env[cand[1]],)
         else:
-            _, name, args, slot = cand
-            pattern = tuple([None if a is None else env[a] for a in args])
-            values = [t[slot] for t in s.matches(name, pattern)]
+            _, name, positions, getter, slot = cand
+            values = [t[slot] for t in
+                      s.index(name, positions).get(getter(env), ())]
         rel = s.rel
         for val in values:
             env[var] = val

@@ -50,6 +50,11 @@ class FSElement:
         out.append(self.tail)
         return out
 
+    @functools.cached_property
+    def key(self):
+        """The sequence as a tuple: the order of L(G) is the order of keys."""
+        return tuple(self.seq())
+
     def __str__(self):
         return "[" + ", ".join(str(x) for x in self.seq()) + "]"
 
@@ -99,25 +104,21 @@ def fs_member(g, items):
 
 def fs_compare(x, y):
     """Lexicographic comparison; returns -1, 0 or 1."""
-    sx, sy = x.seq(), y.seq()
-    for a, b in zip(sx, sy):
-        both_dyadic = isinstance(a, Dyadic) and isinstance(b, Dyadic)
-        both_int = isinstance(a, int) and isinstance(b, int)
-        if not (both_dyadic or both_int):
-            # a tail can only face a vertex coordinate after an equal prefix,
-            # which the colour discipline rules out for genuine members
-            raise MalformedInputError("sequences diverge at incompatible entries")
-        if a < b:
-            return -1
-        if b < a:
-            return 1
-    if len(sx) != len(sy):
-        raise MalformedInputError("one member sequence extends the other")
-    return 0
+    i = _diverge(x, y)
+    if i is None:
+        if len(x.key) != len(y.key):
+            raise MalformedInputError("one member sequence extends the other")
+        return 0
+    a, b = x.key[i], y.key[i]
+    if isinstance(a, Dyadic) != isinstance(b, Dyadic):
+        # a tail can only face a vertex coordinate after an equal prefix,
+        # which the colour discipline rules out for genuine members
+        raise MalformedInputError("sequences diverge at incompatible entries")
+    return -1 if a < b else 1
 
 
 def sort_elements(elems):
-    return sorted(elems, key=functools.cmp_to_key(fs_compare))
+    return sorted(elems, key=lambda e: e.key)
 
 
 def block_of(g, e):
@@ -154,8 +155,7 @@ def fs_enumerate(g, max_half_len, max_exponent):
 
 
 def _diverge(x, y):
-    sx, sy = x.seq(), y.seq()
-    for i, (a, b) in enumerate(zip(sx, sy)):
+    for i, (a, b) in enumerate(zip(x.key, y.key)):
         if a != b:
             return i
     return None

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (And, Digraph, Eq, Evaluator, Exists, MalformedInputError,
-                   Not, PreconditionError, Rel, UGraph, distinct_all)
+                   Not, PreconditionError, Rel, Structure, UGraph,
+                   distinct_all)
 
 
 @dataclass
@@ -124,85 +125,56 @@ def relabel_decoded(decoded, code):
 # streaming decoder
 
 
-@dataclass
-class _Growing:
-    """Mutable graph fed fact by fact; presents the Structure interface
-    pieces the evaluator needs."""
-    universe: tuple = ()
-    signature: dict = field(default_factory=lambda: {"E": 2})
-    adj: dict = field(default_factory=dict)
-
-    def add_vertex(self, v):
-        if v not in self.adj:
-            self.adj[v] = set()
-            self.universe = self.universe + (v,)
-
-    def add_edge(self, u, v):
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-
-    def rel(self, name, args):
-        u, v = args
-        return v in self.adj.get(u, ())
-
-    def matches(self, name, pattern):
-        u, v = pattern
-        if u is not None:
-            return [(u, w) for w in self.adj.get(u, ()) if v is None or v == w]
-        if v is not None:
-            return [(w, v) for w in self.adj.get(v, ())]
-        return [(a, b) for a in self.adj for b in self.adj[a]]
-
-
 class MarkerStreamDecoder:
     """Decode an enumerated diagram of an encoded graph, fact by fact.
 
-    ``feed`` takes facts of the form ("v", x) or ("e", x, y) and returns
-    the list of decoded facts, in the same two shapes, that become true at
-    this stage.  Because the decoding formulas are positive-existential,
+    ``feed`` takes facts of the form ("v", x) or ("e", x, y) with x != y,
+    as the batch decoder's UGraph does (anything else raises
+    MalformedInputError), and returns the list of decoded facts, in the
+    same two shapes, that become true at this stage.  Because the decoding formulas are positive-existential,
     every emitted fact stays true in every later stage, and once the whole
     diagram has been fed the emitted facts form exactly the batch decode.
     """
 
     def __init__(self):
-        self.g = _Growing()
+        self.g = Structure((), {"E": 2}, {})
         self.bases = set()
         self.emitted_edges = set()
         self._bphi = base_point_formula()
         self._sq = square_formula()
         # one evaluator for the whole stream: it caches only join plans,
-        # which depend on the formulas alone, and _Growing
-        # answers relation lookups from the live adjacency
+        # which depend on the formulas alone, and the structure keeps its
+        # indexes up to date as facts arrive
         self._ev = Evaluator(self.g)
 
     def _ball(self, seeds, radius):
         seen = set(seeds)
         frontier = deque((s, 0) for s in seeds)
+        adj = self.g.index("E", (0,))
         while frontier:
             v, d = frontier.popleft()
             if d == radius:
                 continue
-            for w in self.g.adj.get(v, ()):
+            for _, w in adj.get((v,), ()):
                 if w not in seen:
                     seen.add(w)
                     frontier.append((w, d + 1))
         return seen
 
     def feed(self, fact):
-        out = []
+        if not fact or {"v": 2, "e": 3}.get(fact[0]) != len(fact):
+            raise MalformedInputError(f"not a stream fact: {fact!r}")
         if fact[0] == "v":
-            self.g.add_vertex(fact[1])
-            return out
-        if fact[0] != "e":
-            raise MalformedInputError(f"unknown fact kind {fact[0]!r}")
+            self.g.add(fact[1:])
+            return []
         _, u, v = fact
-        self.g.add_edge(u, v)
-        ev = self._ev
+        if u == v:
+            raise MalformedInputError(f"self-loop at {u!r} not allowed")
+        self.g.add((u, v), [("E", (u, v)), ("E", (v, u))])
+        out = []
         # a new edge can only create base points within distance two of it
         for x in self._ball({u, v}, 2):
-            if x not in self.bases and ev.eval(self._bphi, {"x": x}):
+            if x not in self.bases and self._ev.eval(self._bphi, {"x": x}):
                 self.bases.add(x)
                 out.append(("v", x))
         # and new coded edges whose witness square uses the edge; the whole
@@ -211,7 +183,7 @@ class MarkerStreamDecoder:
         for x, y in itertools.permutations(sorted(self.bases), 2):
             if (x, y) in self.emitted_edges or (x not in near and y not in near):
                 continue
-            if ev.eval(self._sq, {"x": x, "y": y}):
+            if self._ev.eval(self._sq, {"x": x, "y": y}):
                 self.emitted_edges.add((x, y))
                 out.append(("e", x, y))
         return out

@@ -208,6 +208,17 @@ class TestExitCodes:
         if want == 2:
             assert out == ""
 
+    def test_stream_self_loop_is_three_as_in_batch(self, monkeypatch,
+                                                   tmp_path):
+        text = "v 0\nv 1\ne 0 0\ne 0 1\n"
+        looped = tmp_path / "looped.graph"
+        looped.write_text(text)
+        assert run(["marker", "decode", str(looped)])[0] == 3
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out = run(["marker", "stream-decode"])
+        assert code == 3
+        assert "self-loop at 0" in json.loads(out)["error"]
+
     def test_unparsable_fact_line_is_two(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("v 1\nx 1 2\n"))
         code, _ = run(["marker", "stream-decode"])

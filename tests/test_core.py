@@ -16,6 +16,8 @@ from structcode.core import (And, BigAnd, BigOr, Digraph, Eq, EvalError,
                              type_count, type_from_index, type_start_index)
 from structcode.backforth import _atoms as atoms_over
 from structcode.backforth import _atomic_diagram, _place_facts, phi_tuple
+from structcode.marker import (base_point_formula, marker_encode,
+                               pentagon_formula, square_formula)
 
 
 def path3():
@@ -55,6 +57,8 @@ class TestStructure:
             Structure([0, 1], {"E": 2}, {"E": [(0, 5)]})
         with pytest.raises(PreconditionError):
             Structure([0, 1], {}, {"E": [(0, 1)]})
+        with pytest.raises(PreconditionError):
+            Structure([0, 1], {}, {"E": []})
 
     def test_unknown_relation(self):
         with pytest.raises(EvalError):
@@ -235,6 +239,101 @@ def test_evaluator_matches_reference(n, data):
               for vals in itertools.product(s.universe, repeat=3)]
     for f, env in cases:
         assert ev.eval(f, env) == reference_eval(s, f, env)
+
+
+# ---------------------------------------------------------------------------
+# growing a structure in place, against building it in one go
+
+
+class TestAdd:
+    def test_updates_built_indexes(self):
+        s = Structure([0], {"E": 2}, {})
+        assert s.index("E", (0,)) == {}
+        s.add([1, 0], [("E", (0, 1)), ("E", [0, 1])])
+        s.add(facts=[("E", (0, 1))])
+        assert s.universe == (0, 1)
+        assert s.index("E", (0,)) == {(0,): [(0, 1)]}
+        assert s.matches("E", (None, 1)) == [(0, 1)]
+
+    @pytest.mark.parametrize("elements, facts", [
+        ((2,), [("E", (0, 1)), ("F", (0, 1))]),   # unknown relation
+        ((2,), [("E", (0, 1, 1))]),               # wrong arity
+        ((2,), [("E", (0, 2)), ("E", (0, 3))])])  # element outside
+    def test_preconditions(self, elements, facts):
+        s = Structure([0, 1], {"E": 2}, {})
+        s.matches("E", (0, None))
+        with pytest.raises(PreconditionError):
+            s.add(elements, facts)
+        # a rejected call adds nothing
+        assert s.universe == (0, 1)
+        assert s.relations == {"E": set()}
+        assert s.matches("E", (0, None)) == []
+
+
+def _all_patterns(s):
+    """Every ``matches`` pattern of every relation of ``s``."""
+    values = (None,) + s.universe
+    return [(name, p) for name, arity in sorted(s.signature.items())
+            for p in itertools.product(values, repeat=arity)]
+
+
+def _grown_equals_batch(data, signature, facts, formulas, envs):
+    """Grow a structure fact by fact, querying it midway so that indexes and
+    plans exist before later facts arrive, then compare it with the same
+    structure built in one go."""
+    grown = Structure((), signature, {})
+    ev = Evaluator(grown)
+    for name, t in facts:
+        grown.add(t, [(name, t)])
+        if data.draw(st.booleans()):
+            grown.matches(*data.draw(st.sampled_from(_all_patterns(grown))))
+        if data.draw(st.booleans()):
+            env = dict(zip(VARS, data.draw(st.lists(
+                st.sampled_from(grown.universe), min_size=3, max_size=3))))
+            ev.eval(data.draw(st.sampled_from(formulas)), env)
+    batch = Structure(sorted({x for _, t in facts for x in t}), signature,
+                      {name: [t for n, t in facts if n == name]
+                       for name in signature})
+    assert sorted(grown.universe) == list(batch.universe)
+    assert grown.relations == batch.relations
+    for name, pattern in _all_patterns(batch):
+        assert sorted(grown.matches(name, pattern)) == \
+            sorted(batch.matches(name, pattern))
+    fresh = Evaluator(batch)
+    for phi in formulas:
+        for env in envs(batch.universe):
+            assert ev.eval(phi, env) == fresh.eval(phi, env)
+
+
+MARKER_FORMULAS = (base_point_formula(), square_formula(), pentagon_formula())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_add_matches_batch_build(n, data):
+    signature = {"E": 2, "P": 1, "T": 3}
+    every = [(name, t) for name, arity in signature.items()
+             for t in itertools.product(range(n), repeat=arity)]
+    # repeats included: adding a fact again must change nothing
+    facts = data.draw(st.lists(st.sampled_from(every), min_size=1,
+                               max_size=12))
+    formulas = MARKER_FORMULAS + tuple(
+        data.draw(st.lists(_formulas, min_size=1, max_size=3)))
+    _grown_equals_batch(
+        data, signature, facts, formulas,
+        lambda u: [dict(zip(VARS, vs)) for vs in itertools.product(u, repeat=3)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_add_grows_marker_code(data):
+    edges = data.draw(st.sets(st.sampled_from([(0, 1), (1, 0)])))
+    code = marker_encode(Digraph([0, 1], edges)).graph
+    facts = data.draw(st.permutations(
+        [("E", t) for t in sorted(code.relations["E"])]))
+    _grown_equals_batch(
+        data, {"E": 2}, facts, MARKER_FORMULAS,
+        lambda u: [{"x": x, "y": y} for x in u for y in u])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Source hygiene: no module of the package imports a name it never uses or
-defines a private top-level name it never uses."""
+defines a private top-level name it never uses, and every function the
+benchmark's tracer wraps still exists where it looks for it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import structcode
 
 PACKAGE = Path(structcode.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def unused_imports(source):
@@ -70,3 +73,27 @@ def test_package_has_no_unused_private_names():
     found = {path.name: unused_private_names(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_traced_targets_resolve():
+    # the tracer's tables are literals: read them without running the file
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(TRACING.read_text(encoding="utf-8")).body
+              if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("SPANS", "COUNTERS")}
+    targets = [t[:3] for t in tables["SPANS"].values()]
+    targets += list(tables["COUNTERS"].values())
+    missing = []
+    for mod, cls, attr in targets:
+        module = importlib.import_module(mod)
+        if cls is None:
+            found = callable(getattr(module, attr, None))
+        else:
+            # the tracer swaps methods in the owning class's own __dict__,
+            # so a method moved to a base class or a helper breaks it
+            owner = getattr(module, cls, None)
+            found = owner is not None and attr in vars(owner)
+        if not found:
+            missing.append((mod, cls, attr))
+    assert targets and missing == []

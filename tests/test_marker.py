@@ -131,3 +131,27 @@ class TestStream:
     def test_unknown_fact_kind(self):
         with pytest.raises(MalformedInputError):
             MarkerStreamDecoder().feed(("q", 1, 2))
+
+    @pytest.mark.parametrize("fact", [
+        (), ("v",), ("e", 1), ("v", 1, 2), ("e", 1, 2, 3)])
+    def test_wrong_fact_shape(self, fact):
+        with pytest.raises(MalformedInputError):
+            MarkerStreamDecoder().feed(fact)
+
+    def test_self_loop_rejected_as_in_batch(self):
+        with pytest.raises(PreconditionError, match="self-loop at 0"):
+            UGraph([0, 1], [(0, 0), (0, 1)])
+        dec = MarkerStreamDecoder()
+        dec.feed(("v", 0))
+        with pytest.raises(MalformedInputError, match="self-loop at 0"):
+            dec.feed(("e", 0, 0))
+        # the rejected fact left nothing behind
+        assert dec.g.relations["E"] == set()
+
+    def test_edge_announces_its_endpoints(self):
+        # an edge between vertices never fed as ("v", x) adds them
+        dec = MarkerStreamDecoder()
+        dec.feed(("e", 0, 1))
+        dec.feed(("e", 0, 1))
+        assert dec.g.universe == (0, 1)
+        assert dec.g.relations["E"] == {(0, 1), (1, 0)}
