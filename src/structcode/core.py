@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 
@@ -40,18 +40,20 @@ class MalformedInputError(StructError):
 class Structure:
     """A finite relational structure.
 
-    ``universe`` is a tuple of hashable elements, ``signature`` maps relation
-    names to arities, ``relations`` maps names to sets of tuples.  Only
-    ``add`` changes a structure: it appends elements and facts, never
-    removes them, and keeps every index built by ``index`` up to date, so
-    the same structure serves a batch decode and a stream fed fact by fact.
+    ``universe`` is a tuple of hashable elements and ``universe_set`` the
+    same elements as a frozenset, ``signature`` maps relation names to
+    arities, ``relations`` maps names to sets of tuples.  Only ``add``
+    changes a structure: it appends
+    elements and facts, never removes them, and keeps every index built by
+    ``index`` up to date, so the same structure serves a batch decode and a
+    stream fed fact by fact.
     """
 
     def __init__(self, universe, signature, relations):
         self.universe = tuple(universe)
         self.signature = dict(signature)
-        self._elements = set(self.universe)
-        if len(self._elements) != len(self.universe):
+        self.universe_set = frozenset(self.universe)
+        if len(self.universe_set) != len(self.universe):
             raise PreconditionError("universe has repeated elements")
         extra = sorted(set(relations) - set(self.signature))
         if extra:
@@ -67,8 +69,8 @@ class Structure:
         Elements and facts already present are skipped.  A fact of an
         unknown relation, of the wrong arity or over elements outside the
         universe raises PreconditionError, and then nothing is added."""
-        new = dict.fromkeys(x for x in elements if x not in self._elements)
-        known = self._elements.union(new) if new else self._elements
+        new = dict.fromkeys(x for x in elements if x not in self.universe_set)
+        known = self.universe_set.union(new) if new else self.universe_set
         rows = []
         for name, t in facts:
             t = tuple(t)
@@ -80,7 +82,7 @@ class Structure:
                     f"tuple {t!r} mentions elements outside the universe")
             rows.append((name, t))
         self.universe += tuple(new)
-        self._elements = known
+        self.universe_set = known
         for name, t in rows:
             tuples = self.relations[name]
             if t not in tuples:
@@ -198,13 +200,15 @@ class FinLinOrder(Structure):
 # ---------------------------------------------------------------------------
 # formulas
 
-# Nodes are frozen dataclasses so formulas can be shared and hashed freely.
+# Nodes are frozen, slotted dataclasses so formulas can be shared and hashed
+# freely, and stay small while long-lived formulas keep their quantifiers'
+# join plans (``Exists.plans``, ``Forall.plans``; see ``Evaluator``).
 # And/Or are the finitary connectives.  BigAnd/BigOr mark junctions that
 # stand for (truncations of) infinite families indexed by tuples; they
 # evaluate identically but are classified with the level-raising convention.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rel:
     name: str
     args: tuple
@@ -213,7 +217,7 @@ class Rel:
         return f"({self.name} {' '.join(self.args)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     left: str
     right: str
@@ -222,7 +226,7 @@ class Eq:
         return f"(= {self.left} {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     body: object
 
@@ -230,7 +234,7 @@ class Not:
         return f"(not {self.body})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     parts: tuple
 
@@ -238,7 +242,7 @@ class And:
         return f"(and {' '.join(str(p) for p in self.parts)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     parts: tuple
 
@@ -246,7 +250,7 @@ class Or:
         return f"(or {' '.join(str(p) for p in self.parts)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BigAnd:
     parts: tuple
 
@@ -254,7 +258,7 @@ class BigAnd:
         return f"(and* {' '.join(str(p) for p in self.parts)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BigOr:
     parts: tuple
 
@@ -262,19 +266,23 @@ class BigOr:
         return f"(or* {' '.join(str(p) for p in self.parts)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     vars: tuple
     body: object
+    plans: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __str__(self):
         return f"(exists ({' '.join(self.vars)}) {self.body})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
     vars: tuple
     body: object
+    plans: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __str__(self):
         return f"(forall ({' '.join(self.vars)}) {self.body})"
@@ -349,6 +357,7 @@ def _ev_or(ev, phi, env):
 
 
 _SPLICED = {True: (And, BigAnd), False: (Or, BigOr)}
+_JUNCTIONS = _SPLICED[True] + _SPLICED[False]
 
 
 def _conjuncts(phi, want, out):
@@ -370,80 +379,195 @@ def _conjuncts(phi, want, out):
     return out
 
 
-def _literals_hold(literals, env, rel):
-    """Check compiled literals ``(getter, relation or None for =, want)``."""
-    for getter, name, want in literals:
-        vals = getter(env)
-        if (rel(name, vals) if name is not None else vals[0] == vals[1]) \
-                != want:
+def _literals_hold(literals, env, relations, ev=None):
+    """Check compiled literals ``(getter, relation or None for =, want)``
+    against a structure's ``relations``.  ``ev`` is unused: it lets a check
+    stand where ``_holds`` does."""
+    try:
+        for getter, name, want in literals:
+            vals = getter(env)
+            if (vals in relations[name] if name is not None
+                    else vals[0] == vals[1]) != want:
+                return False
+    except KeyError:
+        # the getters read bound variables only, so the relation is unknown
+        raise EvalError(f"unknown relation {name!r}") from None
+    return True
+
+
+def _holds(test, env, relations, ev=None):
+    """Check a compiled conjunction ``(literals, negated, rest)``: every
+    literal holds, no check ``holds(n, env, relations, ev)`` of ``negated``
+    is true, and each ``(node, want)`` of ``rest`` has truth ``want`` under
+    the evaluator ``ev``."""
+    literals, negated, rest = test
+    if not _literals_hold(literals, env, relations):
+        return False
+    for holds, n in negated:
+        if holds(n, env, relations, ev):
+            return False
+    for c, want in rest:
+        if _EVAL[type(c)](ev, c, env) != want:
             return False
     return True
 
 
+def _checker(test):
+    """``(holds, test)`` checking a compiled conjunction: ``_literals_hold``
+    on its literals when it has nothing else, else ``_holds``."""
+    literals, negated, rest = test
+    if negated or rest:
+        return _holds, test
+    return _literals_hold, literals
+
+
+@functools.lru_cache(maxsize=1024)
 def _values_of(args):
-    """A function from an environment to the tuple of values of ``args``."""
+    """A function from an environment to the tuple of values of ``args``,
+    shared by every caller that reads the same arguments."""
     if len(args) == 1:
         a, = args
         return lambda env: (env[a],)
     return itemgetter(*args) if args else lambda env: ()
 
 
+@functools.lru_cache(maxsize=4096)
+def _shared(part):
+    """One object for equal plan parts (literal tuples, candidates, steps,
+    sets of outer variables), so that the plans kept on formula nodes share
+    them instead of holding copies."""
+    return part
+
+
+def _args(atom):
+    return atom.args if type(atom) is Rel else (atom.left, atom.right)
+
+
+@functools.lru_cache(maxsize=1024)
+def _literal(atom, want):
+    """The compiled literal ``(getter, relation name or None for =, want)``
+    of a Rel or Eq node, ``getter(env)`` giving its argument values, shared
+    by every plan that checks it."""
+    return _values_of(_args(atom)), \
+        atom.name if type(atom) is Rel else None, want
+
+
+def _qf_vars(phi, out):
+    """Add the variables of ``phi`` to the set ``out``; False when ``phi``
+    is not a quantifier-free formula."""
+    t = type(phi)
+    if t is Rel or t is Eq:
+        out.update(_args(phi))
+    elif t is Not:
+        return _qf_vars(phi.body, out)
+    elif t in _JUNCTIONS:
+        return all(_qf_vars(p, out) for p in phi.parts)
+    else:
+        return False
+    return True
+
+
+def _learn(known, literals):
+    """Add to ``known`` the literals ``(node, want)``, each = both ways."""
+    for c, want in literals:
+        known.add((c, want))
+        if type(c) is Eq:
+            known.add((Eq(c.right, c.left), want))
+
+
+def _compile(conjuncts, bound, known):
+    """The compiled conjunction ``(literals, negated, rest)`` of
+    ``conjuncts`` (see ``_holds``), leaving out the literals in ``known``,
+    which hold wherever it is checked.
+
+    A literal over ``bound`` variables is compiled by ``_literal``.  A
+    junction conjunct holds when the conjunction of its negated parts fails,
+    so ``negated`` gets a check (``_checker``) of that conjunction, compiled
+    knowing this one's literals.  Anything else, a quantifier or a literal
+    with an unbound variable, stays a node in ``rest``.
+    """
+    literals, junctions, rest = [], [], []
+    for c, want in conjuncts:
+        t = type(c)
+        if (t is Rel or t is Eq) and bound.issuperset(_args(c)):
+            if (c, want) not in known:
+                literals.append((c, want))
+        elif t in _JUNCTIONS:
+            junctions.append((c, want))
+        else:
+            rest.append((c, want))
+    if junctions and literals:
+        known = set(known)
+        _learn(known, literals)
+    return (_shared(tuple(_literal(c, w) for c, w in literals)),
+            tuple(_checker(_compile(_conjuncts(c, not w, []), bound, known))
+                  for c, w in junctions),
+            tuple(rest))
+
+
 def _join_plan(todo, conjuncts, outer):
     """Backtracking plan for finding values of ``todo`` satisfying ``conjuncts``.
 
-    ``outer`` is the set of variables bound outside.  Returns ``(pre, steps,
-    leftovers)``: ``pre`` holds the literals the outer variables decide;
-    ``steps`` binds the variables of ``todo`` in order, each as ``(var,
-    candidates, literals)``, where the candidates are the whole universe
-    (None), the value of an equal variable (``("eq", other)``) or the
-    ``slot`` entries of a relation index lookup (``("rel", name, positions,
-    getter, slot)``, ``getter(env)`` giving the values at the bound
-    ``positions``), and the literals are those decided once ``var`` is
-    bound; ``leftovers`` are the other conjuncts, checked once every
-    variable is bound.  Literals are compiled as ``(getter, relation name
-    or None for =, wanted truth)``, where ``getter(env)`` gives the
-    argument values.
+    ``outer`` is the set of variables bound outside.  Returns ``(pre_holds,
+    pre, steps, leftovers)``: ``pre_holds(pre, env, relations)`` checks the
+    conjuncts the outer variables decide; ``steps`` binds the variables of
+    ``todo`` in order, each as ``(var, candidates, holds, test)``, where the
+    candidates are the whole universe (None), the value of an equal variable
+    (``("eq", other)``) or the ``slot`` entries of a relation index lookup
+    (``("rel", name, positions, getter, slot)``, ``getter(env)`` giving the
+    values at the bound ``positions``), and ``holds(test, env, relations)``
+    checks the conjuncts decided once ``var`` is bound; ``leftovers``, a
+    compiled conjunction checked by ``_holds`` once every variable is bound,
+    holds the conjuncts with a quantifier or an unbound variable.
+
+    Each quantifier-free conjunct, literal or not (such as a clause), is
+    checked at the step that binds its last variable (selection pushdown),
+    and compiled knowing the literals checked before it (``_compile``).  A
+    step with only literals to check gets ``_literals_hold`` on them, so it
+    does no more work per candidate than its literals.
     """
     level = dict.fromkeys(outer, -1)
     level.update((v, i) for i, v in enumerate(todo))
     unbound = len(todo)
-    pre, leftovers = [], []
     cands = [None] * unbound
-    pending = [[] for _ in todo]
+    # the conjuncts decided at each step, then those the outer variables
+    # decide (at index -1) and the leftovers (at index ``unbound``)
+    placed = [[] for _ in range(unbound + 2)]
+    # literals that hold wherever they could be checked
+    known = set()
     for c, want in conjuncts:
         t = type(c)
-        if t is Rel:
-            args = c.args
-        elif t is Eq:
-            args = (c.left, c.right)
-        else:
-            leftovers.append((c, want))
+        args = set()
+        if not _qf_vars(c, args):
+            placed[unbound].append((c, want))
             continue
-        i = -1
-        for a in args:
-            j = level.get(a, unbound)
-            if j > i:
-                i = j
-        if i == unbound:
-            # an unbound variable: evaluating the literal raises EvalError
-            leftovers.append((c, want))
-            continue
-        if i >= 0 and want and cands[i] is None and args.count(todo[i]) == 1:
+        i = max((level.get(a, unbound) for a in args), default=-1)
+        if 0 <= i < unbound and want and cands[i] is None and \
+                (t is Rel or t is Eq) and _args(c).count(todo[i]) == 1:
             # a positive literal on one new variable yields exactly the
             # values that satisfy it, so it need not be checked again
-            var = todo[i]
+            var, args = todo[i], _args(c)
             if t is Eq:
                 cands[i] = ("eq", args[1] if args[0] == var else args[0])
             else:
                 slot = args.index(var)
-                cands[i] = ("rel", c.name,
-                            tuple(j for j in range(len(args)) if j != slot),
-                            _values_of(args[:slot] + args[slot + 1:]), slot)
+                cands[i] = _shared((
+                    "rel", c.name,
+                    tuple(j for j in range(len(args)) if j != slot),
+                    _values_of(args[:slot] + args[slot + 1:]), slot))
+            # it holds wherever a literal over ``var`` can be checked
+            _learn(known, [(c, want)])
             continue
-        lit = (_values_of(args), c.name if t is Rel else None, want)
-        (pre if i < 0 else pending[i]).append(lit)
-    steps = tuple(zip(todo, cands, map(tuple, pending)))
-    return tuple(pre), steps, tuple(leftovers)
+        placed[i].append((c, want))
+    bound, tests = set(level), []
+    for i in range(-1, unbound + 1):
+        tests.append(_compile(placed[i], bound, known))
+        _learn(known, [(c, w) for c, w in placed[i] if type(c) in (Rel, Eq)])
+    leftovers = tests.pop()
+    pre, *tests = map(_checker, tests)
+    steps = tuple(_shared((var, cand) + test)
+                  for var, cand, test in zip(todo, cands, tests))
+    return pre + (steps, leftovers)
 
 
 class Evaluator:
@@ -455,40 +579,35 @@ class Evaluator:
     disjuncts that excuse repeated elements become distinctness checks
     that prune the search.  Variables are bound one at a time, drawing
     values from a relation index or an equality where a positive literal
-    allows, and each literal is checked inline as soon as it is decided
-    (see ``_join_plan``).  Plans are compiled once per (quantifier node,
-    set of bound outer variables).  The cache keyed by node identity holds
-    the node, so no key outlives its node.
+    allows, and each quantifier-free conjunct is checked as soon as it is
+    decided (see ``_join_plan``).
+
+    Plans depend on the formula alone, so they are compiled once per
+    quantifier node and set of bound outer variables and kept on the node
+    (``plans``), shared by every evaluator and structure the formula meets.
+    An evaluator holds only its structure; it keeps no cache.
     """
 
     def __init__(self, structure):
         self.s = structure
-        # id(quantifier node) -> (node, is Forall, variables, conjuncts,
-        # {outer variables: plan})
-        self._quants = {}
 
     def eval(self, phi, env=None):
         return _EVAL[type(phi)](self, phi, dict(env or {}))
 
-    def _prepare(self, phi):
-        forall = type(phi) is Forall
-        entry = (phi, forall, tuple(dict.fromkeys(phi.vars)),
-                 tuple(_conjuncts(phi.body, not forall, [])), {})
-        self._quants[id(phi)] = entry
-        return entry
-
     def _quant(self, phi, env):
-        entry = self._quants.get(id(phi)) or self._prepare(phi)
-        _, forall, todo, conjuncts, plans = entry
+        vs = phi.vars
         # quantified variables shadow outer bindings of the same name
-        saved = None if env.keys().isdisjoint(todo) else \
-            {v: env.pop(v) for v in todo if v in env}
+        saved = None if env.keys().isdisjoint(vs) else \
+            {v: env.pop(v) for v in vs if v in env}
         outer = frozenset(env)
-        plan = plans.get(outer)
+        plan = phi.plans.get(outer)
         if plan is None:
-            plan = plans[outer] = _join_plan(todo, conjuncts, outer)
-        pre, steps, leftovers = plan
-        found = _literals_hold(pre, env, self.s.rel) and \
+            forall = type(phi) is Forall
+            plan = phi.plans[_shared(outer)] = (forall,) + _join_plan(
+                tuple(dict.fromkeys(vs)),
+                _conjuncts(phi.body, not forall, []), outer)
+        forall, holds, pre, steps, leftovers = plan
+        found = holds(pre, env, self.s.relations) and \
             self._run_plan(steps, 0, leftovers, env)
         if saved:
             env.update(saved)
@@ -496,11 +615,8 @@ class Evaluator:
 
     def _run_plan(self, steps, i, leftovers, env):
         if i == len(steps):
-            for c, want in leftovers:
-                if _EVAL[type(c)](self, c, env) != want:
-                    return False
-            return True
-        var, cand, pending = steps[i]
+            return _holds(leftovers, env, self.s.relations, self)
+        var, cand, holds, test = steps[i]
         s = self.s
         if cand is None:
             values = s.universe
@@ -510,10 +626,10 @@ class Evaluator:
             _, name, positions, getter, slot = cand
             values = [t[slot] for t in
                       s.index(name, positions).get(getter(env), ())]
-        rel = s.rel
+        relations = s.relations
         for val in values:
             env[var] = val
-            if _literals_hold(pending, env, rel) and \
+            if holds(test, env, relations) and \
                     self._run_plan(steps, i + 1, leftovers, env):
                 del env[var]
                 return True
@@ -667,9 +783,8 @@ def atomic_type_of(graph, tuple_):
         raise PreconditionError("atomic types are of one binary relation E")
     if len(set(t)) != len(t):
         raise PreconditionError(f"tuple {t!r} has repeated entries")
-    universe = set(graph.universe)
     for v in t:
-        if v not in universe:
+        if v not in graph.universe_set:
             raise PreconditionError(f"{v!r} is not a vertex")
     _, ((_, facts),) = fingerprint(graph, t)
     return AtomicType(len(t), facts)

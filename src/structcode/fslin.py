@@ -85,8 +85,7 @@ def fs_element(g, items):
     ment = tuple(color(q) for q in qs)
     if len(set(ment)) != n:
         raise MalformedInputError(f"mentioned vertices {ment} are not distinct")
-    vset = set(g.universe)
-    if not set(ment) <= vset:
+    if not g.universe_set.issuperset(ment):
         raise MalformedInputError(f"mentioned vertices {ment} are not all in G")
     m = atomic_type_of(g, ment).index
     if tail >= m:

@@ -91,6 +91,13 @@ def pentagon_formula(x="x", y="y"):
     return _poly_formula(x, y, 5)
 
 
+# built once, so that every decode and stream decoder evaluates the same
+# nodes and reuses the join plans compiled on them
+_BASE_POINT = base_point_formula()
+_SQUARE = square_formula()
+_PENTAGON = pentagon_formula()
+
+
 def marker_decode(h):
     """Decode an undirected graph back to the coded digraph.
 
@@ -99,16 +106,13 @@ def marker_decode(h):
     square nor a pentagon.
     """
     ev = Evaluator(h)
-    bphi = base_point_formula()
-    sq = square_formula()
-    pent = pentagon_formula()
-    bases = [v for v in h.universe if ev.eval(bphi, {"x": v})]
+    bases = [v for v in h.universe if ev.eval(_BASE_POINT, {"x": v})]
     edges = []
     for u, v in itertools.permutations(bases, 2):
         env = {"x": u, "y": v}
-        if ev.eval(sq, env):
+        if ev.eval(_SQUARE, env):
             edges.append((u, v))
-        elif not ev.eval(pent, env):
+        elif not ev.eval(_PENTAGON, env):
             raise MalformedInputError(
                 f"base pair ({u}, {v}) carries neither a square nor a pentagon")
     return Digraph(bases, edges)
@@ -140,11 +144,9 @@ class MarkerStreamDecoder:
         self.g = Structure((), {"E": 2}, {})
         self.bases = set()
         self.emitted_edges = set()
-        self._bphi = base_point_formula()
-        self._sq = square_formula()
-        # one evaluator for the whole stream: it caches only join plans,
-        # which depend on the formulas alone, and the structure keeps its
-        # indexes up to date as facts arrive
+        # the evaluator holds only the growing structure, which keeps its
+        # indexes up to date as facts arrive; the join plans live on the
+        # module's formulas
         self._ev = Evaluator(self.g)
 
     def _ball(self, seeds, radius):
@@ -174,7 +176,7 @@ class MarkerStreamDecoder:
         out = []
         # a new edge can only create base points within distance two of it
         for x in self._ball({u, v}, 2):
-            if x not in self.bases and self._ev.eval(self._bphi, {"x": x}):
+            if x not in self.bases and self._ev.eval(_BASE_POINT, {"x": x}):
                 self.bases.add(x)
                 out.append(("v", x))
         # and new coded edges whose witness square uses the edge; the whole
@@ -183,7 +185,7 @@ class MarkerStreamDecoder:
         for x, y in itertools.permutations(sorted(self.bases), 2):
             if (x, y) in self.emitted_edges or (x not in near and y not in near):
                 continue
-            if self._ev.eval(self._sq, {"x": x, "y": y}):
+            if self._ev.eval(_SQUARE, {"x": x, "y": y}):
                 self.emitted_edges.add((x, y))
                 out.append(("e", x, y))
         return out

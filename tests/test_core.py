@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from structcode.core import (And, BigAnd, BigOr, Digraph, Eq, EvalError,
                              Evaluator, Exists, FinLinOrder, Forall,
                              LoopedDigraph, Not, Or, PreconditionError, Rel,
-                             Structure, UGraph, atom_places, atomic_type_of,
-                             classify, conj, disj, distinct_all, eval_formula,
-                             fingerprint, iso_check, tuples_of_type,
-                             type_count, type_from_index, type_start_index)
+                             Structure, UGraph, _conjuncts, _holds,
+                             _join_plan, _literal, _literals_hold,
+                             atom_places, atomic_type_of, classify, conj,
+                             disj, distinct_all, eval_formula, fingerprint,
+                             iso_check, tuples_of_type, type_count,
+                             type_from_index, type_start_index)
 from structcode.backforth import _atoms as atoms_over
 from structcode.backforth import _atomic_diagram, _place_facts, phi_tuple
 from structcode.marker import (base_point_formula, marker_encode,
@@ -68,6 +70,12 @@ class TestStructure:
         with pytest.raises(EvalError):
             eval_formula(path3(), Exists(("y",), And((Rel("F", ("x", "y")),))),
                          {"x": 0})
+        # checked as a compiled literal, alone or in a clause
+        for check in (Rel("F", ("y", "x")), Or((Rel("F", ("y", "x")),
+                                               Eq("x", "y")))):
+            with pytest.raises(EvalError):
+                eval_formula(path3(), Exists(("y",), And((
+                    Rel("E", ("x", "y")), check))), {"x": 0})
 
     def test_key_distinguishes_relations(self):
         g = Digraph([0, 1], [(0, 1)])
@@ -213,8 +221,15 @@ def _junctions(inner):
     return [st.builds(kind, parts) for kind in (And, Or, BigAnd, BigOr)]
 
 
+# quantifier-free junctions, which the evaluator checks at the plan step
+# that binds their last variable
+_qf = st.recursive(
+    _atoms, lambda inner: st.one_of(st.builds(Not, inner), *_junctions(inner)),
+    max_leaves=4)
+# and nested quantifiers over them
 _formulas = st.recursive(
-    _atoms,
+    st.one_of(_atoms, _qf, st.builds(Exists, _qvars, _qf),
+              st.builds(Forall, _qvars, _qf)),
     lambda inner: st.one_of(st.builds(Not, inner), *_junctions(inner),
                             st.builds(Exists, _qvars, inner),
                             st.builds(Forall, _qvars, inner)),
@@ -224,13 +239,19 @@ _foralls = st.builds(Forall, _qvars, st.one_of(
     _atoms, st.builds(Not, _formulas), *_junctions(_formulas)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 3), st.data())
-def test_evaluator_matches_reference(n, data):
+def _digraph(n):
     pairs = list(itertools.product(range(n), repeat=2))
-    s = LoopedDigraph(range(n), data.draw(st.lists(st.sampled_from(pairs),
-                                                   unique=True))
-                      if pairs else [])
+    return st.builds(LoopedDigraph, st.just(range(n)),
+                     st.lists(st.sampled_from(pairs), unique=True)
+                     if pairs else st.just([]))
+
+
+_digraphs = st.integers(0, 3).flatmap(_digraph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs, st.data())
+def test_evaluator_matches_reference(s, data):
     phi = data.draw(st.one_of(_formulas, _foralls))
     ev = Evaluator(s)
     # closed forms too, so the empty universe is checked
@@ -239,6 +260,141 @@ def test_evaluator_matches_reference(n, data):
               for vals in itertools.product(s.universe, repeat=3)]
     for f, env in cases:
         assert ev.eval(f, env) == reference_eval(s, f, env)
+
+
+def _free(phi):
+    t = type(phi)
+    if t is Rel:
+        return set(phi.args)
+    if t is Eq:
+        return {phi.left, phi.right}
+    if t is Not:
+        return _free(phi.body)
+    if t in (Exists, Forall):
+        return _free(phi.body) - set(phi.vars)
+    return set().union(*map(_free, phi.parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_formulas, _foralls), st.lists(_digraphs, min_size=2,
+                                                max_size=2))
+def test_reused_plans_match_reference(phi, structures):
+    # one formula, so that the plans compiled on its quantifiers at the
+    # first evaluation are reused: on a second structure, and under a
+    # second set of bound outer variables ("w" occurs in no formula)
+    closed = [(Exists(VARS, phi), {}), (Forall(VARS, phi), {})]
+    outers = [VARS, tuple(sorted(_free(phi))) + ("w",)]
+    for s in structures:
+        cases = closed + [(phi, dict(zip(names, vals))) for names in outers
+                          for vals in itertools.product(s.universe,
+                                                        repeat=len(names))]
+        for f, env in cases:
+            assert Evaluator(s).eval(f, env) == reference_eval(s, f, env)
+
+
+# ---------------------------------------------------------------------------
+# formula nodes and the plans kept on them
+
+NODE_TYPES = (Rel, Eq, Not, And, Or, BigAnd, BigOr, Exists, Forall)
+
+
+def _every_node_type():
+    return Forall(("x",), Or((Not(Eq("x", "y")), BigAnd((
+        Exists(("z",), And((Rel("E", ("x", "z")),))),
+        BigOr((Eq("x", "x"),)))))))
+
+
+def _nodes(phi):
+    yield phi
+    for child in getattr(phi, "parts", ()) + \
+            ((phi.body,) if hasattr(phi, "body") else ()):
+        yield from _nodes(child)
+
+
+class TestFormulaNodes:
+    def test_plans_do_not_change_node_semantics(self):
+        phi = _every_node_type()
+        assert eval_formula(path3(), phi, {"y": 2}) is False
+        assert phi.plans and phi.body.parts[1].parts[0].plans
+        fresh = _every_node_type()
+        assert not fresh.plans
+        assert phi == fresh and hash(phi) == hash(fresh)
+        assert str(phi) == str(fresh) and repr(phi) == repr(fresh)
+        assert "plans" not in repr(phi)
+
+    def test_nodes_are_slotted(self):
+        nodes = list(_nodes(_every_node_type()))
+        assert {type(n) for n in nodes} == set(NODE_TYPES)
+        for n in nodes:
+            assert not hasattr(n, "__dict__")
+
+    def test_one_plan_per_set_of_bound_variables(self):
+        # the plan for a bound x reads x's index; with x unbound the same
+        # node must still raise EvalError, not reuse that plan
+        phi = Exists(("y",), Rel("E", ("x", "y")))
+        for env in ({"x": 0}, {}, {"x": 2}, {"z": 0}):
+            if "x" in env:
+                assert eval_formula(path3(), phi, env) is (env["x"] == 0)
+            else:
+                with pytest.raises(EvalError):
+                    eval_formula(path3(), phi, env)
+        assert set(phi.plans) == {frozenset({"x"}), frozenset(),
+                                  frozenset({"z"})}
+
+    def test_evaluator_holds_only_its_structure(self):
+        s = path3()
+        ev = Evaluator(s)
+        assert ev.eval(_every_node_type(), {"y": 2}) is False
+        assert vars(ev) == {"s": s}
+
+
+class TestJoinPlan:
+    def test_clauses_run_at_the_step_that_decides_them(self):
+        def clause(*vs):
+            return Or((Not(Rel("E", ("x", "x"))), Rel("E", vs)))
+        body = And((clause("x", "x"), clause("y", "x"), clause("z", "y"),
+                    Eq("y", "y")))
+        pre_holds, pre, (y_step, z_step), leftovers = _join_plan(
+            ("y", "z"), _conjuncts(body, True, []), {"x"})
+        assert pre_holds is _holds and len(pre[1]) == 1
+        for var, step in (("y", y_step), ("z", z_step)):
+            assert step[0] == var and step[2] is _holds
+            assert len(step[3][1]) == 1
+        assert leftovers == ((), (), ())
+        # a step with no clause checks its literals alone
+        _, _, (step,), _ = _join_plan(("y",), [(Eq("y", "y"), True)], {"x"})
+        assert step[2] is _literals_hold and len(step[3]) == 1
+
+    @pytest.mark.parametrize("gamma", [1, 2])
+    def test_negated_move_diagrams_skip_implied_distinctness(self, gamma):
+        g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
+        leaf = next(p for p in phi_tuple(g, (0, 1), gamma).parts
+                    if type(p) is Forall and p.vars == ("x3",))
+        _, _, (step,), leftovers = _join_plan(
+            leaf.vars, _conjuncts(leaf.body, False, []), {"x1", "x2"})
+        # the plan checks x3 != x1 and x3 != x2 before the move's diagram,
+        # which keeps only x1 != x2 of its distinctness prefix
+        distinct = {_literal(Eq("x3", "x1"), False),
+                    _literal(Eq("x3", "x2"), False)}
+        move = _atomic_diagram(g, (0, 1, 2))
+        kept = tuple(_literal(a, True) if type(a) is not Not else
+                     _literal(a.body, False) for a in move.parts
+                     if a not in (Not(Eq("x1", "x3")), Not(Eq("x2", "x3"))))
+        assert _literal(Eq("x1", "x2"), False) in kept
+        if gamma == 1:
+            # a quantifier-free conjunct: checked at the step of x3
+            assert step[2] is _holds and leftovers == ((), (), ())
+            literals, negated, rest = step[3]
+            assert set(literals) == distinct and rest == ()
+            assert negated == ((_literals_hold, kept),)
+        else:
+            # the move's level-1 formula has quantifiers: a leftover, whose
+            # diagram is compiled and checked before them
+            assert step[2] is _literals_hold and set(step[3]) == distinct
+            (sub,) = [p for p in leaf.body.parts if type(p) is BigAnd]
+            assert sub.parts[0] == move
+            assert leftovers == ((), ((_holds, (kept, (), tuple(
+                (p, True) for p in sub.parts[1:]))),), ())
 
 
 # ---------------------------------------------------------------------------
