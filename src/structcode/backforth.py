@@ -78,6 +78,12 @@ def _check_level(gamma):
         raise PreconditionError(f"level {gamma} is negative")
 
 
+def _check_entries(struct, tup):
+    if not struct.universe_set.issuperset(tup):
+        raise PreconditionError(f"tuple {tup!r} has entries outside the "
+                                "structure")
+
+
 class _Game:
     """The game between a and b with moves of length up to ``bound``, with
     one memo of decided positions (level and the two tuples played).
@@ -92,6 +98,8 @@ class _Game:
             raise PreconditionError("structures must have the same signature")
         if len(atup) != len(btup):
             raise PreconditionError("tuples must have equal length")
+        _check_entries(a, atup)
+        _check_entries(b, btup)
         need = max(len(a.universe), len(b.universe))
         if bound is None:
             bound = need
@@ -125,7 +133,7 @@ class _Game:
         a, b = self.a, self.b
         for side, src, st, dst, dt in (("a", a, at, b, bt),
                                        ("b", b, bt, a, at)):
-            fresh = sorted(set(src.universe) - set(st), key=repr)
+            fresh = sorted(src.universe_set.difference(st), key=repr)
             for ln in range(1, min(self.bound, len(fresh)) + 1):
                 for move in itertools.combinations(fresh, ln):
                     mt = st + move
@@ -198,6 +206,7 @@ def phi_tuple(struct, tup, gamma, bound=None):
     """
     _check_level(gamma)
     tup = tuple(tup)
+    _check_entries(struct, tup)
     if bound is None:
         bound = len(struct.universe)
     if bound < len(struct.universe):
@@ -212,7 +221,7 @@ def phi_tuple(struct, tup, gamma, bound=None):
             out = memo[key] = _atomic_diagram(struct, t)
             return out
         n = len(t)
-        fresh = sorted(set(struct.universe) - set(t), key=repr)
+        fresh = sorted(struct.universe_set.difference(t), key=repr)
         xs = [_var(i) for i in range(n)]
         # the diagram is implied by the nested base cases only when fresh
         # extensions exist; assert it outright so exhausted tuples still
@@ -283,6 +292,10 @@ def interval_equiv(a, atup, b, btup, gamma):
     if len(atup) != len(btup):
         raise PreconditionError("tuples must have equal length")
     for t, s in ((atup, a), (btup, b)):
+        if not isinstance(s, FinLinOrder):
+            raise PreconditionError("interval_equiv compares finite linear "
+                                    "orders")
+        _check_entries(s, t)
         idx = [s.elements.index(x) for x in t]
         if any(i >= j for i, j in zip(idx, idx[1:])):
             raise PreconditionError("tuples must be strictly increasing")

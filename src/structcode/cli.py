@@ -110,7 +110,7 @@ def _vertex_tuple(struct, ids):
     toks = [t for t in (ids or "").split(",") if t != ""]
     for tok in toks:
         v = formats._ident(tok)
-        if v not in set(struct.universe):
+        if v not in struct.universe_set:
             raise PreconditionError(f"tuple entry {tok} is not in the structure")
         out.append(v)
     return tuple(out)

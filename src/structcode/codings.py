@@ -192,6 +192,8 @@ def shuffle_build(labels, include_omega, resolution):
 
 def census(fragment, scale=1):
     """Labels present in each dyadic sub-interval [c, c+1) / 2**scale."""
+    if scale < 0:
+        raise PreconditionError(f"scale {scale} is negative")
     out = {}
     for c in range(1 << scale):
         seen = set()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 
@@ -201,91 +201,92 @@ class FinLinOrder(Structure):
 # formulas
 
 # Nodes are frozen, slotted dataclasses so formulas can be shared and hashed
-# freely, and stay small while long-lived formulas keep their quantifiers'
-# join plans (``Exists.plans``, ``Forall.plans``; see ``Evaluator``).
-# And/Or are the finitary connectives.  BigAnd/BigOr mark junctions that
-# stand for (truncations of) infinite families indexed by tuples; they
-# evaluate identically but are classified with the level-raising convention.
+# freely, and stay small while long-lived formulas keep the join plans their
+# evaluations compiled (``Formula.plans``; see ``Evaluator``).  ``str``
+# prints the s-expression that ``formats.parse_formula`` reads back.  And/Or
+# are the finitary connectives.  BigAnd/BigOr mark junctions that stand for
+# (truncations of) infinite families indexed by tuples; they evaluate
+# identically but are classified with the level-raising convention.
+
+
+class Formula:
+    """Base class of the formula nodes.
+
+    ``plans``, outside ``==``, ``hash`` and ``repr``, reads None until an
+    evaluation of the node on its own stores the dict of its join plans.
+    The slot stays unset until then, so building a node does not pay for
+    it.
+    """
+    __slots__ = ("plans",)
+
+    def __getattr__(self, name):
+        if name == "plans":
+            return None
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __str__(self):
+        t = type(self)
+        if t is Rel:
+            items = (self.name, *self.args)
+        elif t is Eq:
+            items = ("=", self.left, self.right)
+        elif t is Not:
+            items = ("not", self.body)
+        elif t is Exists or t is Forall:
+            items = (t.__name__.lower(), f"({' '.join(self.vars)})", self.body)
+        else:
+            items = (t.__name__.lower(), *self.parts)
+        return f"({' '.join(map(str, items))})"
 
 
 @dataclass(frozen=True, slots=True)
-class Rel:
+class Rel(Formula):
     name: str
     args: tuple
 
-    def __str__(self):
-        return f"({self.name} {' '.join(self.args)})"
-
 
 @dataclass(frozen=True, slots=True)
-class Eq:
+class Eq(Formula):
     left: str
     right: str
 
-    def __str__(self):
-        return f"(= {self.left} {self.right})"
-
 
 @dataclass(frozen=True, slots=True)
-class Not:
+class Not(Formula):
     body: object
 
-    def __str__(self):
-        return f"(not {self.body})"
-
 
 @dataclass(frozen=True, slots=True)
-class And:
+class And(Formula):
     parts: tuple
 
-    def __str__(self):
-        return f"(and {' '.join(str(p) for p in self.parts)})"
-
 
 @dataclass(frozen=True, slots=True)
-class Or:
+class Or(Formula):
     parts: tuple
 
-    def __str__(self):
-        return f"(or {' '.join(str(p) for p in self.parts)})"
-
 
 @dataclass(frozen=True, slots=True)
-class BigAnd:
+class BigAnd(Formula):
     parts: tuple
 
-    def __str__(self):
-        return f"(and* {' '.join(str(p) for p in self.parts)})"
-
 
 @dataclass(frozen=True, slots=True)
-class BigOr:
+class BigOr(Formula):
     parts: tuple
 
-    def __str__(self):
-        return f"(or* {' '.join(str(p) for p in self.parts)})"
-
 
 @dataclass(frozen=True, slots=True)
-class Exists:
+class Exists(Formula):
     vars: tuple
     body: object
-    plans: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
-
-    def __str__(self):
-        return f"(exists ({' '.join(self.vars)}) {self.body})"
 
 
 @dataclass(frozen=True, slots=True)
-class Forall:
+class Forall(Formula):
     vars: tuple
     body: object
-    plans: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
-
-    def __str__(self):
-        return f"(forall ({' '.join(self.vars)}) {self.body})"
 
 
 TRUE = And(())
@@ -305,55 +306,6 @@ def disj(parts):
 def distinct_all(names):
     """Pairwise inequality of the listed variables."""
     return [Not(Eq(a, b)) for a, b in itertools.combinations(names, 2)]
-
-
-# Evaluation dispatches on the node type through _EVAL, a module-level table
-# of functions (evaluator, node, env) -> bool.  A per-instance table of bound
-# methods would form a reference cycle and keep discarded evaluators alive
-# until the garbage collector runs.
-
-
-class _Dispatch(dict):
-    def __missing__(self, node_type):
-        raise EvalError(f"not a formula node type: {node_type.__name__}")
-
-
-def _unbound(e):
-    return EvalError(f"unbound variable {e.args[0]!r}")
-
-
-def _ev_rel(ev, phi, env):
-    try:
-        args = tuple([env[a] for a in phi.args])
-    except KeyError as e:
-        raise _unbound(e)
-    return ev.s.rel(phi.name, args)
-
-
-def _ev_eq(ev, phi, env):
-    try:
-        return env[phi.left] == env[phi.right]
-    except KeyError as e:
-        raise _unbound(e)
-
-
-def _ev_not(ev, phi, env):
-    body = phi.body
-    return not _EVAL[type(body)](ev, body, env)
-
-
-def _ev_and(ev, phi, env):
-    for p in phi.parts:
-        if not _EVAL[type(p)](ev, p, env):
-            return False
-    return True
-
-
-def _ev_or(ev, phi, env):
-    for p in phi.parts:
-        if _EVAL[type(p)](ev, p, env):
-            return True
-    return False
 
 
 _SPLICED = {True: (And, BigAnd), False: (Or, BigOr)}
@@ -398,8 +350,8 @@ def _literals_hold(literals, env, relations, ev=None):
 def _holds(test, env, relations, ev=None):
     """Check a compiled conjunction ``(literals, negated, rest)``: every
     literal holds, no check ``holds(n, env, relations, ev)`` of ``negated``
-    is true, and each ``(node, want)`` of ``rest`` has truth ``want`` under
-    the evaluator ``ev``."""
+    is true, and each quantifier ``(node, want)`` of ``rest`` has truth
+    ``want`` under the evaluator ``ev``."""
     literals, negated, rest = test
     if not _literals_hold(literals, env, relations):
         return False
@@ -407,7 +359,7 @@ def _holds(test, env, relations, ev=None):
         if holds(n, env, relations, ev):
             return False
     for c, want in rest:
-        if _EVAL[type(c)](ev, c, env) != want:
+        if ev._quant(c, env) != want:
             return False
     return True
 
@@ -483,8 +435,9 @@ def _compile(conjuncts, bound, known):
     A literal over ``bound`` variables is compiled by ``_literal``.  A
     junction conjunct holds when the conjunction of its negated parts fails,
     so ``negated`` gets a check (``_checker``) of that conjunction, compiled
-    knowing this one's literals.  Anything else, a quantifier or a literal
-    with an unbound variable, stays a node in ``rest``.
+    knowing this one's literals.  A quantifier stays a node in ``rest``.  A
+    literal with an unbound variable, or anything that is not a formula
+    node, raises EvalError.
     """
     literals, junctions, rest = [], [], []
     for c, want in conjuncts:
@@ -494,8 +447,13 @@ def _compile(conjuncts, bound, known):
                 literals.append((c, want))
         elif t in _JUNCTIONS:
             junctions.append((c, want))
-        else:
+        elif t is Exists or t is Forall:
             rest.append((c, want))
+        elif t is Rel or t is Eq:
+            v = next(a for a in _args(c) if a not in bound)
+            raise EvalError(f"unbound variable {v!r}")
+        else:
+            raise EvalError(f"not a formula node type: {t.__name__}")
     if junctions and literals:
         known = set(known)
         _learn(known, literals)
@@ -518,7 +476,7 @@ def _join_plan(todo, conjuncts, outer):
     values at the bound ``positions``), and ``holds(test, env, relations)``
     checks the conjuncts decided once ``var`` is bound; ``leftovers``, a
     compiled conjunction checked by ``_holds`` once every variable is bound,
-    holds the conjuncts with a quantifier or an unbound variable.
+    holds the conjuncts with a quantifier.
 
     Each quantifier-free conjunct, literal or not (such as a clause), is
     checked at the step that binds its last variable (selection pushdown),
@@ -582,30 +540,44 @@ class Evaluator:
     allows, and each quantifier-free conjunct is checked as soon as it is
     decided (see ``_join_plan``).
 
-    Plans depend on the formula alone, so they are compiled once per
-    quantifier node and set of bound outer variables and kept on the node
-    (``plans``), shared by every evaluator and structure the formula meets.
-    An evaluator holds only its structure; it keeps no cache.
+    ``eval`` runs any node this way: a node other than a quantifier as one
+    with no variables, over its own conjuncts.  So a formula is evaluated
+    only through compiled plans, and a literal with an unbound variable
+    raises EvalError when its plan is compiled, whatever the data.
+
+    Plans depend on the formula alone, so they are compiled once per node
+    and set of bound outer variables and kept on the node (``plans``),
+    shared by every evaluator and structure the formula meets.  Every node
+    evaluated at the top or as a quantifier keeps its plans; the other
+    nodes are compiled into those plans.  An evaluator holds only its
+    structure; it keeps no cache.
     """
 
     def __init__(self, structure):
         self.s = structure
 
     def eval(self, phi, env=None):
-        return _EVAL[type(phi)](self, phi, dict(env or {}))
+        return self._quant(phi, dict(env or {}))
 
     def _quant(self, phi, env):
-        vs = phi.vars
+        t = type(phi)
+        quant = t is Exists or t is Forall
+        vs = phi.vars if quant else ()
         # quantified variables shadow outer bindings of the same name
         saved = None if env.keys().isdisjoint(vs) else \
             {v: env.pop(v) for v in vs if v in env}
         outer = frozenset(env)
-        plan = phi.plans.get(outer)
-        if plan is None:
-            forall = type(phi) is Forall
-            plan = phi.plans[_shared(outer)] = (forall,) + _join_plan(
+        plans = getattr(phi, "plans", None)
+        plan = plans and plans.get(outer)
+        if not plan:
+            forall = t is Forall
+            plan = (forall,) + _join_plan(
                 tuple(dict.fromkeys(vs)),
-                _conjuncts(phi.body, not forall, []), outer)
+                _conjuncts(phi.body if quant else phi, not forall, []), outer)
+            if plans is None:
+                plans = {}
+                object.__setattr__(phi, "plans", plans)
+            plans[_shared(outer)] = plan
         forall, holds, pre, steps, leftovers = plan
         found = holds(pre, env, self.s.relations) and \
             self._run_plan(steps, 0, leftovers, env)
@@ -635,11 +607,6 @@ class Evaluator:
                 return True
         env.pop(var, None)
         return False
-
-
-_EVAL = _Dispatch({Rel: _ev_rel, Eq: _ev_eq, Not: _ev_not,
-                   And: _ev_and, BigAnd: _ev_and, Or: _ev_or, BigOr: _ev_or,
-                   Exists: Evaluator._quant, Forall: Evaluator._quant})
 
 
 def eval_formula(structure, phi, env=None):

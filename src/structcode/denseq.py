@@ -82,6 +82,20 @@ def _num_bounds(lo, hi, k):
     return max(a_min, 1), min(a_max, (1 << k) - 1)
 
 
+def _least(lo, hi, residue, modulus):
+    """The dyadic of (lo, hi) with the least exponent and, at that exponent,
+    the least numerator congruent to ``residue`` modulo ``modulus``."""
+    if lo is not None and hi is not None and not lo < hi:
+        raise PreconditionError(f"empty interval ({lo}, {hi})")
+    k = 1
+    while True:
+        a_min, a_max = _num_bounds(lo, hi, k)
+        a = a_min + (residue - a_min) % modulus
+        if a <= a_max:
+            return Dyadic(a, k)
+        k += 1
+
+
 def between(lo, hi, n):
     """Canonical colour-n dyadic strictly inside (lo, hi).
 
@@ -90,34 +104,15 @@ def between(lo, hi, n):
     least numerator.  Colour-n numerators are exactly those congruent to
     2**(n+1) - 1 modulo 2**(n+2).
     """
-    if lo is not None and hi is not None and not lo < hi:
-        raise PreconditionError(f"empty interval ({lo}, {hi})")
-    residue = (1 << (n + 1)) - 1
-    modulus = 1 << (n + 2)
-    k = 1
-    while True:
-        a_min, a_max = _num_bounds(lo, hi, k)
-        if a_min <= a_max:
-            a = a_min + ((residue - a_min) % modulus)
-            if a <= a_max:
-                return Dyadic(a, k)
-        k += 1
-        if k > 4096:  # pragma: no cover - density guarantees termination
-            raise AssertionError("no dyadic of the requested colour found")
+    if n < 0:
+        raise PreconditionError(f"colour {n} is negative")
+    return _least(lo, hi, (1 << (n + 1)) - 1, 1 << (n + 2))
 
 
 def simplest_between(lo, hi):
-    """Canonical dyadic of (lo, hi): least exponent, then least numerator."""
-    if lo is not None and hi is not None and not lo < hi:
-        raise PreconditionError(f"empty interval ({lo}, {hi})")
-    k = 1
-    while True:
-        a_min, a_max = _num_bounds(lo, hi, k)
-        if a_min % 2 == 0:
-            a_min += 1
-        if a_min <= a_max:
-            return Dyadic(a_min, k)
-        k += 1
+    """Canonical dyadic of (lo, hi): least exponent, then least (odd)
+    numerator."""
+    return _least(lo, hi, 1, 2)
 
 
 class ColorOrderMap:

@@ -12,7 +12,7 @@ relation symbol.
 
 from __future__ import annotations
 
-from .core import (And, BigAnd, BigOr, Eq, Exists, Forall,
+from .core import (And, BigAnd, BigOr, Eq, Exists, Forall, Formula,
                    MalformedInputError, Not, Or, PreconditionError, Rel)
 from .denseq import Dyadic
 from .fslin import fs_element
@@ -150,20 +150,9 @@ def parse_formula(text):
 
 
 def formula_to_sexpr(phi):
-    if isinstance(phi, Rel):
-        return "(" + " ".join((phi.name,) + tuple(phi.args)) + ")"
-    if isinstance(phi, Eq):
-        return f"(= {phi.left} {phi.right})"
-    if isinstance(phi, Not):
-        return f"(not {formula_to_sexpr(phi.body)})"
-    if isinstance(phi, (And, Or, BigAnd, BigOr)):
-        head = {And: "and", Or: "or", BigAnd: "bigand", BigOr: "bigor"}[type(phi)]
-        inner = " ".join(formula_to_sexpr(p) for p in phi.parts)
-        return f"({head}{' ' if inner else ''}{inner})"
-    if isinstance(phi, (Exists, Forall)):
-        head = "exists" if isinstance(phi, Exists) else "forall"
-        return f"({head} ({' '.join(phi.vars)}) {formula_to_sexpr(phi.body)})"
-    raise MalformedInputError(f"not a formula node: {phi!r}")
+    if not isinstance(phi, Formula):
+        raise MalformedInputError(f"not a formula node: {phi!r}")
+    return str(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,16 @@ class TestPreconditions:
             with pytest.raises(PreconditionError):
                 phi_pair({"E": 2}, n, 1, bound)
 
+    def test_entries_outside_the_structure(self):
+        g = Digraph([0, 1], [(0, 1)])
+        calls = [lambda: bf_equiv(g, (5,), g, (0,), 1),
+                 lambda: bf_equiv(g, (0,), g, (5,), 1),
+                 lambda: distinguishing_move(g, (0, 5), g, (0, 1), 1),
+                 lambda: phi_tuple(g, (5,), 1)]
+        for call in calls:
+            with pytest.raises(PreconditionError, match="outside"):
+                call()
+
     def test_signature_mismatch(self):
         g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
         o = FinLinOrder(range(3))
@@ -284,6 +294,16 @@ class TestIntervalEquiv:
         a = FinLinOrder(range(3))
         with pytest.raises(PreconditionError):
             interval_equiv(a, (0,), a, (0, 1), 1)
+
+    def test_entry_outside_the_order(self):
+        a = FinLinOrder(range(3))
+        with pytest.raises(PreconditionError, match="outside"):
+            interval_equiv(a, (0,), a, (7,), 1)
+
+    def test_not_an_order(self):
+        a, g = FinLinOrder(range(3)), Digraph([0, 1, 2], [(0, 1)])
+        with pytest.raises(PreconditionError, match="linear orders"):
+            interval_equiv(a, (0,), g, (0,), 1)
 
 
 class TestCertificates:

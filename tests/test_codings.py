@@ -94,6 +94,10 @@ class TestShuffleBuild:
         for seen in census(frag, scale=1).values():
             assert seen == want
 
+    def test_census_negative_scale(self):
+        with pytest.raises(PreconditionError):
+            census(shuffle_build([0], True, 3), scale=-1)
+
     def test_census_exact_near_midpoint(self):
         # (2**60 - 1) / 2**61 lies below 1/2, but rounds to 1/2 as a float
         blk = Block(Dyadic(2**60 - 1, 61), 0, OFFSET, False)

@@ -18,8 +18,10 @@ from structcode.core import (And, BigAnd, BigOr, Digraph, Eq, EvalError,
                              type_from_index, type_start_index)
 from structcode.backforth import _atoms as atoms_over
 from structcode.backforth import _atomic_diagram, _place_facts, phi_tuple
-from structcode.marker import (base_point_formula, marker_encode,
-                               pentagon_formula, square_formula)
+from structcode.formats import formula_to_sexpr, parse_formula
+from structcode import marker
+from structcode.marker import (base_point_formula, marker_decode,
+                               marker_encode, pentagon_formula, square_formula)
 
 
 def path3():
@@ -157,6 +159,34 @@ class TestEvaluator:
         with pytest.raises(EvalError):
             eval_formula(path3(), And((Eq("x", "x"), "not a node")), {"x": 0})
 
+    # every literal is compiled before anything is checked, so no other
+    # conjunct or disjunct decides these formulas before the bad literal
+    @pytest.mark.parametrize("phi, message", [
+        (And((Not(Eq("x", "x")), Rel("E", ("x", "z")))), "unbound variable 'z'"),
+        (Or((Eq("x", "x"), Rel("E", ("x", "z")))), "unbound variable 'z'"),
+        (Exists(("y",), And((Not(Eq("x", "x")), Rel("E", ("y", "z"))))),
+         "unbound variable 'z'"),
+        (And((Not(Eq("x", "x")), "not a node")),
+         "not a formula node type: str"),
+        (Or((Eq("x", "x"), "not a node")), "not a formula node type: str"),
+        ("not a node", "not a formula node type: str")])
+    def test_unevaluable_raises_whatever_the_data(self, phi, message):
+        with pytest.raises(EvalError, match=message):
+            eval_formula(path3(), phi, {"x": 0})
+
+    def test_empty_quantifiers(self):
+        # a quantifier over no variables is its body, not its own conjunct
+        g = path3()
+        for phi in (Rel("E", ("x", "y")), And((Rel("E", ("x", "y")),
+                                               Not(Eq("x", "y"))))):
+            for x, y in itertools.product(g.universe, repeat=2):
+                env = {"x": x, "y": y}
+                want = g.rel("E", (x, y))
+                assert eval_formula(g, Exists((), phi), env) is want
+                assert eval_formula(g, Forall((), phi), env) is want
+                assert eval_formula(g, Not(Forall((), Exists((), phi))),
+                                    env) is not want
+
     def test_reused_evaluator_over_rebuilt_formulas(self):
         # caches keyed by node identity must not serve a node built later
         # at the address of a discarded one
@@ -292,6 +322,13 @@ def test_reused_plans_match_reference(phi, structures):
             assert Evaluator(s).eval(f, env) == reference_eval(s, f, env)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_formulas)
+def test_str_parses_back(phi):
+    assert parse_formula(str(phi)) == phi
+    assert formula_to_sexpr(phi) == str(phi)
+
+
 # ---------------------------------------------------------------------------
 # formula nodes and the plans kept on them
 
@@ -338,8 +375,17 @@ class TestFormulaNodes:
             else:
                 with pytest.raises(EvalError):
                     eval_formula(path3(), phi, env)
-        assert set(phi.plans) == {frozenset({"x"}), frozenset(),
-                                  frozenset({"z"})}
+        assert set(phi.plans) == {frozenset({"x"})}
+
+    def test_top_level_plans_are_kept(self):
+        marker_decode(marker_encode(path3()).graph)
+        assert set(marker._SQUARE.plans) == {frozenset({"x", "y"})}
+        phi = BigAnd((Rel("E", ("x", "y")), Not(Eq("x", "y"))))
+        assert eval_formula(path3(), phi, {"x": 0, "y": 1}) is True
+        (plan,) = phi.plans.values()
+        assert eval_formula(path3(), phi, {"x": 1, "y": 0}) is False
+        (again,) = phi.plans.values()
+        assert again is plan
 
     def test_evaluator_holds_only_its_structure(self):
         s = path3()

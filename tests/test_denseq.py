@@ -90,6 +90,11 @@ class TestBetween:
         with pytest.raises(PreconditionError):
             between(Dyadic(1, 1), Dyadic(1, 1), 0)
 
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_colour(self, n):
+        with pytest.raises(PreconditionError, match="negative"):
+            between(None, None, n)
+
     @given(dyadics(6), dyadics(6))
     def test_simplest_between_contract(self, a, b):
         if a == b:
@@ -100,6 +105,9 @@ class TestBetween:
         for k in range(1, d.exp):
             for num in range(1, 1 << k, 2):
                 assert not lo < Dyadic(num, k) < hi
+        # and the least numerator at the exponent found
+        for num in range(1, d.num, 2):
+            assert not lo < Dyadic(num, d.exp) < hi
 
 
 class TestColorOrderMap:

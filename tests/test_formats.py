@@ -55,6 +55,8 @@ class TestFormulas:
         ]
         for phi in phis:
             assert parse_formula(formula_to_sexpr(phi)) == phi
+        with pytest.raises(MalformedInputError):
+            formula_to_sexpr("(E x y)")
 
     def test_errors(self):
         for bad in ("(not)", "(exists y (E x y))", "(= x)", "x",
