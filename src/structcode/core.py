@@ -448,6 +448,7 @@ def _compile(conjuncts, bound, known):
         elif t in _JUNCTIONS:
             junctions.append((c, want))
         elif t is Exists or t is Forall:
+            _plan(c, frozenset(bound).difference(c.vars))
             rest.append((c, want))
         elif t is Rel or t is Eq:
             v = next(a for a in _args(c) if a not in bound)
@@ -528,6 +529,26 @@ def _join_plan(todo, conjuncts, outer):
     return pre + (steps, leftovers)
 
 
+def _plan(phi, outer):
+    """The plan of ``phi`` with the variables of ``outer`` bound outside (a
+    node other than a quantifier runs as one over no variables), compiled
+    once and kept on the node; see ``_join_plan``."""
+    plans = getattr(phi, "plans", None)
+    plan = plans and plans.get(outer)
+    if not plan:
+        t = type(phi)
+        quant = t is Exists or t is Forall
+        forall = t is Forall
+        plan = (forall,) + _join_plan(
+            tuple(dict.fromkeys(phi.vars if quant else ())),
+            _conjuncts(phi.body if quant else phi, not forall, []), outer)
+        if plans is None:
+            plans = {}
+            object.__setattr__(phi, "plans", plans)
+        plans[_shared(outer)] = plan
+    return plan
+
+
 class Evaluator:
     """Truth evaluation of a formula in a finite structure.
 
@@ -542,8 +563,9 @@ class Evaluator:
 
     ``eval`` runs any node this way: a node other than a quantifier as one
     with no variables, over its own conjuncts.  So a formula is evaluated
-    only through compiled plans, and a literal with an unbound variable
-    raises EvalError when its plan is compiled, whatever the data.
+    only through compiled plans.  The plan of each quantifier in a plan's
+    ``leftovers`` is compiled with it, so a literal with an unbound
+    variable anywhere in the formula raises EvalError, whatever the data.
 
     Plans depend on the formula alone, so they are compiled once per node
     and set of bound outer variables and kept on the node (``plans``),
@@ -560,25 +582,11 @@ class Evaluator:
         return self._quant(phi, dict(env or {}))
 
     def _quant(self, phi, env):
-        t = type(phi)
-        quant = t is Exists or t is Forall
-        vs = phi.vars if quant else ()
+        vs = phi.vars if type(phi) in (Exists, Forall) else ()
         # quantified variables shadow outer bindings of the same name
         saved = None if env.keys().isdisjoint(vs) else \
             {v: env.pop(v) for v in vs if v in env}
-        outer = frozenset(env)
-        plans = getattr(phi, "plans", None)
-        plan = plans and plans.get(outer)
-        if not plan:
-            forall = t is Forall
-            plan = (forall,) + _join_plan(
-                tuple(dict.fromkeys(vs)),
-                _conjuncts(phi.body if quant else phi, not forall, []), outer)
-            if plans is None:
-                plans = {}
-                object.__setattr__(phi, "plans", plans)
-            plans[_shared(outer)] = plan
-        forall, holds, pre, steps, leftovers = plan
+        forall, holds, pre, steps, leftovers = _plan(phi, frozenset(env))
         found = holds(pre, env, self.s.relations) and \
             self._run_plan(steps, 0, leftovers, env)
         if saved:

@@ -6,7 +6,9 @@ the dense carrier from ``denseq``, the colours of r_0 .. r_{n-1} are 0, the
 colour of r_n is 1, the colours a_1 .. a_n of q_1 .. q_n form a tuple of
 pairwise distinct vertices of G, and the final entry k is a natural number
 below the index m of the atomic type of (a_1, ..., a_n).  Elements are
-compared lexicographically.
+compared lexicographically.  An ``FSElement`` is a tuple of exactly those
+entries, so tuple order is the order of L(G); ``fs_enumerate`` emits the
+members of a bounded fragment in that order.
 
 The toolkit computes the invariants of finite tuples of such elements
 (blocks, gap sizes, lengths, minimal lengths over intervals, the full shape
@@ -17,7 +19,6 @@ including the shift move that relocates a tuple beyond a given element.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -27,36 +28,36 @@ from .core import (TRUE, And, Eq, Exists, Forall, MalformedInputError, Not,
 from .denseq import ColorOrderMap, Dyadic, between, color
 
 
-@dataclass(frozen=True)
-class FSElement:
-    """One element of L(G): padding coords rs, vertex coords qs, tail."""
-    rs: tuple          # n+1 dyadics, colours 0,...,0,1
-    qs: tuple          # n dyadics, colours = mentioned vertices
-    tail: int
+class FSElement(tuple):
+    """One element of L(G) as the tuple r_0 q_1 r_1 ... q_n r_n k, built
+    from padding coords rs, vertex coords qs and the tail."""
+    __slots__ = ()
+    _make = classmethod(tuple.__new__)     # from the sequence itself
 
-    @property
-    def half_length(self):
-        return len(self.qs)
+    def __new__(cls, rs, qs, tail):
+        seq = [tail] * (2 * len(rs))        # the last slot keeps the tail
+        seq[0:-1:2] = rs
+        seq[1:-1:2] = qs
+        return tuple.__new__(cls, seq)
 
-    @property
-    def length(self):
-        return 2 * len(self.qs) + 2
+    def __getnewargs__(self):
+        return self.rs, self.qs, self.tail
+
+    rs = property(lambda self: self[0:-1:2])
+    qs = property(lambda self: self[1:-1:2])
+    tail = property(lambda self: self[-1])
+    half_length = property(lambda self: len(self) // 2 - 1)
+    length = property(len)
 
     def seq(self):
         """The element as the alternating sequence it abbreviates."""
-        out = [self.rs[0]]
-        for q, r in zip(self.qs, self.rs[1:]):
-            out += [q, r]
-        out.append(self.tail)
-        return out
+        return list(self)
 
-    @functools.cached_property
-    def key(self):
-        """The sequence as a tuple: the order of L(G) is the order of keys."""
-        return tuple(self.seq())
+    def __repr__(self):
+        return f"FSElement(rs={self.rs!r}, qs={self.qs!r}, tail={self.tail!r})"
 
     def __str__(self):
-        return "[" + ", ".join(str(x) for x in self.seq()) + "]"
+        return "[" + ", ".join(map(str, self)) + "]"
 
 
 def mentions(e):
@@ -74,8 +75,7 @@ def fs_element(g, items):
         raise MalformedInputError("final entry must be a natural number")
     if not all(isinstance(c, Dyadic) for c in coords):
         raise MalformedInputError("all entries before the tail must be dyadics")
-    rs = tuple(coords[0::2])
-    qs = tuple(coords[1::2])
+    rs, qs = coords[0::2], coords[1::2]
     n = len(qs)
     for i, r in enumerate(rs):
         want = 1 if i == n else 0
@@ -90,7 +90,7 @@ def fs_element(g, items):
     m = atomic_type_of(g, ment).index
     if tail >= m:
         raise MalformedInputError(f"tail {tail} is not below the type index {m}")
-    return FSElement(rs, qs, tail)
+    return FSElement._make(items)
 
 
 def fs_member(g, items):
@@ -105,10 +105,10 @@ def fs_compare(x, y):
     """Lexicographic comparison; returns -1, 0 or 1."""
     i = _diverge(x, y)
     if i is None:
-        if len(x.key) != len(y.key):
+        if len(x) != len(y):
             raise MalformedInputError("one member sequence extends the other")
         return 0
-    a, b = x.key[i], y.key[i]
+    a, b = x[i], y[i]
     if isinstance(a, Dyadic) != isinstance(b, Dyadic):
         # a tail can only face a vertex coordinate after an equal prefix,
         # which the colour discipline rules out for genuine members
@@ -117,7 +117,7 @@ def fs_compare(x, y):
 
 
 def sort_elements(elems):
-    return sorted(elems, key=lambda e: e.key)
+    return sorted(elems)
 
 
 def block_of(g, e):
@@ -128,25 +128,29 @@ def block_of(g, e):
 def fs_enumerate(g, max_half_len, max_exponent):
     """All members of L(G) with half length and coordinate exponents bounded.
 
-    Returned in increasing order.
+    Returned in increasing order, without sorting: each coordinate runs
+    through its candidates in increasing order, a colour-1 padding
+    coordinate closing the element with each tail, a colour-0 one going on
+    with each coordinate of a vertex not yet mentioned.
     """
-    by_color = {}
-    for k in range(1, max_exponent + 1):
-        for a in range(1, 1 << k, 2):
-            d = Dyadic(a, k)
-            by_color.setdefault(color(d), []).append(d)
-    out = []
-    verts = sorted(g.universe)
-    for n in range(max_half_len + 1):
-        for ment in itertools.permutations(verts, n):
-            m = atomic_type_of(g, ment).index
-            q_pools = [by_color.get(v, []) for v in ment]
-            r_pools = [by_color.get(0, [])] * n + [by_color.get(1, [])]
-            for qs in itertools.product(*q_pools):
-                for rs in itertools.product(*r_pools):
-                    for k in range(m):
-                        out.append(FSElement(tuple(rs), tuple(qs), k))
-    return sort_elements(out)
+    # the points a / 2**max_exponent in increasing order, in lowest terms
+    points = [Dyadic(a // (a & -a), max_exponent + 1 - (a & -a).bit_length())
+              for a in range(1, 1 << max(max_exponent, 0))]
+    pads = [(r, color(r)) for r in points if color(r) < 2]
+    coords = [(q, color(q)) for q in points if color(q) in g.universe_set]
+
+    def extend(prefix, ment):
+        m = atomic_type_of(g, ment).index
+        for r, c in pads:
+            if c:
+                for k in range(m):
+                    yield FSElement._make(prefix + (r, k))
+            elif len(ment) < max_half_len:
+                for q, v in coords:
+                    if v not in ment:
+                        yield from extend(prefix + (r, q), ment + (v,))
+
+    return list(extend((), ())) if max_half_len >= 0 else []
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +158,7 @@ def fs_enumerate(g, max_half_len, max_exponent):
 
 
 def _diverge(x, y):
-    for i, (a, b) in enumerate(zip(x.key, y.key)):
-        if a != b:
-            return i
-    return None
+    return next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), None)
 
 
 def min_length_in_interval(g, x, y):
@@ -173,7 +174,6 @@ def min_length_in_interval(g, x, y):
     i = _diverge(x, y)
     if i is None:
         return x.half_length, x
-    sx, sy = x.seq(), y.seq()
     if i % 2 == 0:
         # diverging padding coordinates at position 2t: members of the
         # interval share the first 2t entries, so 2t+2 is the least length,
@@ -182,9 +182,9 @@ def min_length_in_interval(g, x, y):
         t = i // 2
         if x.half_length == t:
             return t, x
-        r = between(sx[i], sy[i], 1)
+        r = between(x[i], y[i], 1)
         return t, FSElement(x.rs[:t] + (r,), x.qs[:t], 0)
-    if isinstance(sx[i], int):
+    if isinstance(x[i], int):
         # same block, different tails: everything in between is in the block
         return x.half_length, x
     # diverging vertex coordinates at position 2t+1: every member of the
@@ -192,7 +192,7 @@ def min_length_in_interval(g, x, y):
     # lengths are at least 2t+4; lifting the left endpoint's next padding
     # coordinate produces a member of exactly that length
     t = (i - 1) // 2
-    r = between(sx[2 * t + 2], None, 1)
+    r = between(x[2 * t + 2], None, 1)
     return t + 1, FSElement(x.rs[:t + 1] + (r,), x.qs[:t + 1], 0)
 
 
@@ -230,10 +230,8 @@ def shape(g, elems):
     gaps = []
     min_half = []
     for a, b in zip(srt, srt[1:]):
-        if a.rs == b.rs and a.qs == b.qs:
-            gaps.append(b.tail - a.tail - 1)
-        else:
-            gaps.append(None)
+        # a block is the members with the same coordinates
+        gaps.append(b.tail - a.tail - 1 if a[:-1] == b[:-1] else None)
         min_half.append(min_length_in_interval(g, a, b)[0])
     return Shape(
         order=ranks,
@@ -402,11 +400,7 @@ def apply_first_coord_map(f, elems):
     This realizes the restriction to first coordinates of an automorphism of
     L(G), so it preserves order, blocks and shapes of tuples.
     """
-    out = []
-    for e in elems:
-        img = f.image(e.rs[0])
-        out.append(FSElement((img,) + e.rs[1:], e.qs, e.tail))
-    return tuple(out)
+    return tuple(FSElement._make((f.image(e[0]),) + e[1:]) for e in elems)
 
 
 @dataclass(frozen=True)

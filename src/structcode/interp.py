@@ -60,14 +60,6 @@ class InterpReport:
     notes: list = field(default_factory=list)
 
 
-def _tuple_env(tuples):
-    env = {}
-    for j, tup in enumerate(tuples, start=1):
-        for i, v in enumerate(tup, start=1):
-            env[slot_var(j, i)] = v
-    return env
-
-
 def check_interpretation(carrier, spec, target, max_arity, seed=0,
                          congruence_samples=200):
     """Verify an interpretation and compare its quotient with the target.
@@ -97,19 +89,28 @@ def check_interpretation(carrier, spec, target, max_arity, seed=0,
     if not dom and len(target.universe) > 0:
         return InterpReport(False, [("empty-domain", None)], 0, 0, None, notes)
 
-    def sim(x, y, which):
-        fam = spec.sim_pos if which == "pos" else spec.sim_neg
-        phi = fam.get((len(x), len(y)))
+    names = {}
+
+    def holds(fam, tuples, default):
+        """Truth of ``fam``'s formula for the arities of ``tuples`` (slot
+        variables bound to their entries), ``default`` if it has none."""
+        arities = tuple(map(len, tuples))
+        phi = fam.get(arities)
         if phi is None:
-            return which == "neg"
-        return ev.eval(phi, _tuple_env((x, y)))
+            return default
+        vs = names.get(arities)
+        if vs is None:
+            vs = names[arities] = [slot_var(j, i)
+                                   for j, n in enumerate(arities, start=1)
+                                   for i in range(1, n + 1)]
+        return ev.eval(phi, dict(zip(vs, itertools.chain(*tuples))))
 
     # complementarity and equivalence of ~, exhaustively over D x D
     pos = {}
     for x in dom:
         for y in dom:
-            p = sim(x, y, "pos")
-            if p == sim(x, y, "neg"):
+            p = holds(spec.sim_pos, (x, y), False)
+            if p == holds(spec.sim_neg, (x, y), True):
                 failures.append(("sim-not-complementary", (x, y)))
             pos[(x, y)] = p
     for x in dom:
@@ -139,34 +140,29 @@ def check_interpretation(carrier, spec, target, max_arity, seed=0,
             classes.append([x])
     reps = [members[0] for members in classes]
 
-    def rel_eval(name, tuples, which):
-        fam = (spec.rel_pos if which == "pos" else spec.rel_neg).get(name, {})
-        phi = fam.get(tuple(len(t) for t in tuples))
-        if phi is None:
-            return which == "neg"
-        return ev.eval(phi, _tuple_env(tuples))
-
     quotient_rels = {}
     for name, k in sorted(spec.target_signature.items()):
+        fam_pos = spec.rel_pos.get(name, {})
+        fam_neg = spec.rel_neg.get(name, {})
         table = set()
         for combo in itertools.product(range(len(classes)), repeat=k):
             args = tuple(reps[c] for c in combo)
-            holds = rel_eval(name, args, "pos")
-            if holds == rel_eval(name, args, "neg"):
+            p = holds(fam_pos, args, False)
+            if p == holds(fam_neg, args, True):
                 failures.append((f"{name}-not-complementary", args))
-            if holds:
+            if p:
                 table.add(combo)
             # congruence sample: substitute equivalent elements slot-wise
             alts = tuple(classes[c][rng.randrange(len(classes[c]))]
                          for c in combo)
-            if alts != args and rel_eval(name, alts, "pos") != holds:
+            if alts != args and holds(fam_pos, alts, False) != p:
                 failures.append((f"{name}-not-congruent", (args, alts)))
         quotient_rels[name] = table
         for _ in range(congruence_samples if classes else 0):
             combo = tuple(rng.randrange(len(classes)) for _ in range(k))
             a = tuple(classes[c][rng.randrange(len(classes[c]))] for c in combo)
             b = tuple(classes[c][rng.randrange(len(classes[c]))] for c in combo)
-            if rel_eval(name, a, "pos") != rel_eval(name, b, "pos"):
+            if holds(fam_pos, a, False) != holds(fam_pos, b, False):
                 failures.append((f"{name}-not-congruent", (a, b)))
 
     if failures:

@@ -169,7 +169,13 @@ class TestEvaluator:
         (And((Not(Eq("x", "x")), "not a node")),
          "not a formula node type: str"),
         (Or((Eq("x", "x"), "not a node")), "not a formula node type: str"),
-        ("not a node", "not a formula node type: str")])
+        ("not a node", "not a formula node type: str"),
+        # in a nested quantifier that the search never reaches
+        (And((Not(Eq("x", "x")), Exists(("y",), Rel("E", ("y", "z"))))),
+         "unbound variable 'z'"),
+        (And((Not(Eq("x", "x")), Exists(("y",), Or((Eq("x", "x"),
+                                                    Rel("E", ("y", "z"))))))),
+         "unbound variable 'z'")])
     def test_unevaluable_raises_whatever_the_data(self, phi, message):
         with pytest.raises(EvalError, match=message):
             eval_formula(path3(), phi, {"x": 0})

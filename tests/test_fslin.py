@@ -1,11 +1,15 @@
 """Members of the coded order, comparison, shapes, defining formulas, shifts."""
 
+import copy
+import functools
+import itertools
+import pickle
 import random
 
 import pytest
 
 from structcode.core import (Digraph, MalformedInputError, PreconditionError,
-                             classify)
+                             classify, type_start_index)
 from structcode.denseq import Dyadic, color
 from structcode.fslin import (FSElement, Shape, apply_first_coord_map,
                               block_of, fs_compare, fs_element, fs_enumerate,
@@ -106,6 +110,72 @@ class TestEnumerate:
         assert FSElement((D(3, 2),), (), 0) in frag
         assert FSElement((D(1, 2), D(3, 2)), (D(1, 1),), 1) in frag
         assert FSElement((D(1, 1),), (), 0) not in frag  # colour 0 required
+
+
+def naive_enumerate(g, max_half_len, max_exponent):
+    """Every sequence within the caps that fs_member accepts, as sorted
+    tuples."""
+    points = [D(a, k) for k in range(1, max_exponent + 1)
+              for a in range(1, 1 << k, 2)]
+    out = []
+    for n in range(max_half_len + 1):
+        for coords in itertools.product(points, repeat=2 * n + 1):
+            # the tail bound is at least 1, so no tail fits when 0 does not
+            if fs_member(g, coords + (0,)):
+                out += [coords + (k,) for k in range(type_start_index(n + 1))
+                        if fs_member(g, coords + (k,))]
+    return sorted(out)
+
+
+ENUMERATE_GRAPHS = [
+    Digraph([], []), Digraph([0], []), Digraph([0, 1], []),
+    Digraph([0, 1], [(0, 1)]),
+    Digraph([0, 1], [(0, 1), (1, 0)]), Digraph([0, 1, 2], []),
+    Digraph([0, 1, 2], [(0, 1), (1, 2)]),
+    Digraph([0, 1, 2], [(0, 1), (1, 2), (2, 0)]),
+    Digraph(["a", "b"], [("a", "b")])]
+
+
+class TestEnumerateDifferential:
+    # (3, 1) and (3, 2) cap the half length above the vertex count of every
+    # graph here but the 3-vertex ones; exponent 1 gives no colour-1 point
+    @pytest.mark.parametrize("caps", [(2, 3), (1, 4), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("g", ENUMERATE_GRAPHS, ids=lambda g: str(
+        (sorted(g.universe), sorted(g.relations["E"]))))
+    def test_matches_naive_reference(self, g, caps):
+        frag = fs_enumerate(g, *caps)
+        assert frag == naive_enumerate(g, *caps)
+        for a, b in zip(frag, frag[1:]):
+            assert fs_compare(a, b) == -1
+
+
+class TestElementValue:
+    RS, QS = (D(1, 2), D(3, 2)), (D(1, 1),)
+
+    def test_constructor_round_trip(self):
+        e = FSElement(self.RS, self.QS, 1)
+        assert (e.rs, e.qs, e.tail) == (self.RS, self.QS, 1)
+        assert e.seq() == [D(1, 2), D(1, 1), D(3, 2), 1]
+        assert str(e) == "[1/4, 1/2, 3/4, 1]"
+        assert (e.half_length, e.length) == (1, 4)
+        assert eval(repr(e), {"FSElement": FSElement, "Dyadic": D}) == e
+
+    def test_copies_and_pickles_are_equal_elements(self):
+        e = FSElement(self.RS, self.QS, 1)
+        copies = [copy.copy(e), copy.deepcopy(e)] + [
+            pickle.loads(pickle.dumps(e, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for c in copies:
+            assert type(c) is FSElement and c == e
+            assert (c.rs, c.qs, c.tail) == (e.rs, e.qs, e.tail)
+
+    def test_sort_agrees_with_fs_compare(self):
+        frag = fs_enumerate(Digraph([0, 1, 2], [(0, 1), (1, 2)]), 2, 3)
+        rng = random.Random(17)
+        for _ in range(50):
+            sample = rng.sample(frag, 20)
+            assert sort_elements(sample) == sorted(
+                sample, key=functools.cmp_to_key(fs_compare))
 
 
 class TestMinLength:
