@@ -331,10 +331,13 @@ def _conjuncts(phi, want, out):
     return out
 
 
-def _literals_hold(literals, env, relations, ev=None):
-    """Check compiled literals ``(getter, relation or None for =, want)``
-    against a structure's ``relations``.  ``ev`` is unused: it lets a check
-    stand where ``_holds`` does."""
+def _holds(test, env, s):
+    """Check a compiled conjunction ``(literals, negated, rest)`` in the
+    structure ``s``: every literal ``(getter, relation or None for =,
+    want)`` holds, no conjunction of ``negated`` holds, and each plan of a
+    quantifier ``(plan, want)`` of ``rest`` runs to ``want``."""
+    literals, negated, rest = test
+    relations = s.relations
     try:
         for getter, name, want in literals:
             vals = getter(env)
@@ -344,33 +347,58 @@ def _literals_hold(literals, env, relations, ev=None):
     except KeyError:
         # the getters read bound variables only, so the relation is unknown
         raise EvalError(f"unknown relation {name!r}") from None
-    return True
-
-
-def _holds(test, env, relations, ev=None):
-    """Check a compiled conjunction ``(literals, negated, rest)``: every
-    literal holds, no check ``holds(n, env, relations, ev)`` of ``negated``
-    is true, and each quantifier ``(node, want)`` of ``rest`` has truth
-    ``want`` under the evaluator ``ev``."""
-    literals, negated, rest = test
-    if not _literals_hold(literals, env, relations):
-        return False
-    for holds, n in negated:
-        if holds(n, env, relations, ev):
+    for n in negated:
+        if _holds(n, env, s):
             return False
-    for c, want in rest:
-        if ev._quant(c, env) != want:
+    for plan, want in rest:
+        if _run(plan, env, s) != want:
             return False
     return True
 
 
-def _checker(test):
-    """``(holds, test)`` checking a compiled conjunction: ``_literals_hold``
-    on its literals when it has nothing else, else ``_holds``."""
-    literals, negated, rest = test
-    if negated or rest:
-        return _holds, test
-    return _literals_hold, literals
+def _run(plan, env, s):
+    """The truth in ``s`` of the formula of ``plan`` (see ``_plan``) under
+    ``env``, where its quantified variables shadow their outer bindings."""
+    forall, vs, pre, steps, leftovers = plan
+    saved = None if env.keys().isdisjoint(vs) else \
+        {v: env.pop(v) for v in vs if v in env}
+    found = _holds(pre, env, s) and _search(steps, 0, leftovers, env, s)
+    if saved:
+        env.update(saved)
+    return found != forall
+
+
+def _search(steps, i, leftovers, env, s):
+    """Whether values for the variables of ``steps[i:]`` satisfy their
+    checks and then ``leftovers``; see ``_join_plan``."""
+    if i == len(steps):
+        return _holds(leftovers, env, s)
+    var, cand, literals, more = steps[i]
+    if cand is None:
+        values = s.universe
+    elif cand[0] == "eq":
+        values = (env[cand[1]],)
+    else:
+        _, rel, positions, args, slot = cand
+        values = [t[slot] for t in s.index(rel, positions).get(args(env), ())]
+    relations = s.relations
+    for val in values:
+        env[var] = val
+        try:
+            for getter, name, want in literals:
+                vals = getter(env)
+                if (vals in relations[name] if name is not None
+                        else vals[0] == vals[1]) != want:
+                    break
+            else:
+                if (more is None or _holds(more, env, s)) and \
+                        _search(steps, i + 1, leftovers, env, s):
+                    del env[var]
+                    return True
+        except KeyError:
+            raise EvalError(f"unknown relation {name!r}") from None
+    env.pop(var, None)
+    return False
 
 
 @functools.lru_cache(maxsize=1024)
@@ -386,8 +414,8 @@ def _values_of(args):
 @functools.lru_cache(maxsize=4096)
 def _shared(part):
     """One object for equal plan parts (literal tuples, candidates, steps,
-    sets of outer variables), so that the plans kept on formula nodes share
-    them instead of holding copies."""
+    literal-only conjunctions, sets of outer variables), so that the plans
+    kept on formula nodes share them instead of holding copies."""
     return part
 
 
@@ -434,10 +462,10 @@ def _compile(conjuncts, bound, known):
 
     A literal over ``bound`` variables is compiled by ``_literal``.  A
     junction conjunct holds when the conjunction of its negated parts fails,
-    so ``negated`` gets a check (``_checker``) of that conjunction, compiled
-    knowing this one's literals.  A quantifier stays a node in ``rest``.  A
-    literal with an unbound variable, or anything that is not a formula
-    node, raises EvalError.
+    so ``negated`` gets that conjunction, compiled knowing this one's
+    literals.  A quantifier ``c`` enters ``rest`` as its plan ``_plan(c,
+    bound - c.vars)``, compiled here.  A literal with an unbound variable,
+    or anything that is not a formula node, raises EvalError.
     """
     literals, junctions, rest = [], [], []
     for c, want in conjuncts:
@@ -448,8 +476,7 @@ def _compile(conjuncts, bound, known):
         elif t in _JUNCTIONS:
             junctions.append((c, want))
         elif t is Exists or t is Forall:
-            _plan(c, frozenset(bound).difference(c.vars))
-            rest.append((c, want))
+            rest.append((_plan(c, frozenset(bound).difference(c.vars)), want))
         elif t is Rel or t is Eq:
             v = next(a for a in _args(c) if a not in bound)
             raise EvalError(f"unbound variable {v!r}")
@@ -458,32 +485,34 @@ def _compile(conjuncts, bound, known):
     if junctions and literals:
         known = set(known)
         _learn(known, literals)
-    return (_shared(tuple(_literal(c, w) for c, w in literals)),
-            tuple(_checker(_compile(_conjuncts(c, not w, []), bound, known))
+    test = (_shared(tuple(_literal(c, w) for c, w in literals)),
+            tuple(_compile(_conjuncts(c, not w, []), bound, known)
                   for c, w in junctions),
             tuple(rest))
+    return test if junctions or rest else _shared(test)
 
 
 def _join_plan(todo, conjuncts, outer):
     """Backtracking plan for finding values of ``todo`` satisfying ``conjuncts``.
 
-    ``outer`` is the set of variables bound outside.  Returns ``(pre_holds,
-    pre, steps, leftovers)``: ``pre_holds(pre, env, relations)`` checks the
-    conjuncts the outer variables decide; ``steps`` binds the variables of
-    ``todo`` in order, each as ``(var, candidates, holds, test)``, where the
-    candidates are the whole universe (None), the value of an equal variable
-    (``("eq", other)``) or the ``slot`` entries of a relation index lookup
-    (``("rel", name, positions, getter, slot)``, ``getter(env)`` giving the
-    values at the bound ``positions``), and ``holds(test, env, relations)``
-    checks the conjuncts decided once ``var`` is bound; ``leftovers``, a
-    compiled conjunction checked by ``_holds`` once every variable is bound,
-    holds the conjuncts with a quantifier.
+    ``outer`` is the set of variables bound outside.  Returns ``(pre, steps,
+    leftovers)``: ``pre`` is the compiled conjunction (see ``_compile``) of
+    the conjuncts the outer variables decide; ``steps`` binds the variables
+    of ``todo`` in order, each as ``(var, candidates, literals, more)``,
+    where the candidates are the whole universe (None), the value of an
+    equal variable (``("eq", other)``) or the ``slot`` entries of a relation
+    index lookup (``("rel", name, positions, getter, slot)``, ``getter(env)``
+    giving the values at the bound ``positions``), and ``literals`` and
+    ``more`` (None, or a compiled conjunction without literals) the
+    conjuncts decided once ``var`` is bound; ``leftovers``, a compiled
+    conjunction checked once every variable is bound, holds the conjuncts
+    with a quantifier.
 
     Each quantifier-free conjunct, literal or not (such as a clause), is
     checked at the step that binds its last variable (selection pushdown),
-    and compiled knowing the literals checked before it (``_compile``).  A
-    step with only literals to check gets ``_literals_hold`` on them, so it
-    does no more work per candidate than its literals.
+    and compiled knowing the literals checked before it (``_compile``).
+    ``_search`` checks a step's literals in line, so a step with nothing
+    more does no more work per candidate than its literals.
     """
     level = dict.fromkeys(outer, -1)
     level.update((v, i) for i, v in enumerate(todo))
@@ -522,26 +551,28 @@ def _join_plan(todo, conjuncts, outer):
     for i in range(-1, unbound + 1):
         tests.append(_compile(placed[i], bound, known))
         _learn(known, [(c, w) for c, w in placed[i] if type(c) in (Rel, Eq)])
-    leftovers = tests.pop()
-    pre, *tests = map(_checker, tests)
-    steps = tuple(_shared((var, cand) + test)
-                  for var, cand, test in zip(todo, cands, tests))
-    return pre + (steps, leftovers)
+    pre, *tests, leftovers = tests
+    steps = tuple(_shared((var, cand, literals,
+                           ((), negated, rest) if negated or rest else None))
+                  for var, cand, (literals, negated, rest)
+                  in zip(todo, cands, tests))
+    return pre, steps, leftovers
 
 
 def _plan(phi, outer):
-    """The plan of ``phi`` with the variables of ``outer`` bound outside (a
-    node other than a quantifier runs as one over no variables), compiled
-    once and kept on the node; see ``_join_plan``."""
+    """The plan ``(forall, vars, pre, steps, leftovers)`` of ``phi`` with
+    the variables of ``outer`` bound outside (a node other than a
+    quantifier runs as one over no variables), compiled once and kept on
+    the node; see ``_join_plan``.  ``_run`` runs it."""
     plans = getattr(phi, "plans", None)
     plan = plans and plans.get(outer)
     if not plan:
         t = type(phi)
         quant = t is Exists or t is Forall
         forall = t is Forall
-        plan = (forall,) + _join_plan(
-            tuple(dict.fromkeys(phi.vars if quant else ())),
-            _conjuncts(phi.body if quant else phi, not forall, []), outer)
+        vs = phi.vars if quant else ()
+        plan = (forall, vs) + _join_plan(tuple(dict.fromkeys(vs)), _conjuncts(
+            phi.body if quant else phi, not forall, []), outer)
         if plans is None:
             plans = {}
             object.__setattr__(phi, "plans", plans)
@@ -562,10 +593,10 @@ class Evaluator:
     decided (see ``_join_plan``).
 
     ``eval`` runs any node this way: a node other than a quantifier as one
-    with no variables, over its own conjuncts.  So a formula is evaluated
-    only through compiled plans.  The plan of each quantifier in a plan's
-    ``leftovers`` is compiled with it, so a literal with an unbound
-    variable anywhere in the formula raises EvalError, whatever the data.
+    with no variables, over its own conjuncts.  A plan is a closed tree
+    that holds the plan of each quantifier in it, compiled with it, so a
+    literal with an unbound variable anywhere in the formula raises
+    EvalError, whatever the data; ``_run``, ``_search`` and ``_holds`` run it.
 
     Plans depend on the formula alone, so they are compiled once per node
     and set of bound outer variables and kept on the node (``plans``),
@@ -579,42 +610,10 @@ class Evaluator:
         self.s = structure
 
     def eval(self, phi, env=None):
-        return self._quant(phi, dict(env or {}))
-
-    def _quant(self, phi, env):
-        vs = phi.vars if type(phi) in (Exists, Forall) else ()
+        env = dict(env or {})
         # quantified variables shadow outer bindings of the same name
-        saved = None if env.keys().isdisjoint(vs) else \
-            {v: env.pop(v) for v in vs if v in env}
-        forall, holds, pre, steps, leftovers = _plan(phi, frozenset(env))
-        found = holds(pre, env, self.s.relations) and \
-            self._run_plan(steps, 0, leftovers, env)
-        if saved:
-            env.update(saved)
-        return found != forall
-
-    def _run_plan(self, steps, i, leftovers, env):
-        if i == len(steps):
-            return _holds(leftovers, env, self.s.relations, self)
-        var, cand, holds, test = steps[i]
-        s = self.s
-        if cand is None:
-            values = s.universe
-        elif cand[0] == "eq":
-            values = (env[cand[1]],)
-        else:
-            _, name, positions, getter, slot = cand
-            values = [t[slot] for t in
-                      s.index(name, positions).get(getter(env), ())]
-        relations = s.relations
-        for val in values:
-            env[var] = val
-            if holds(test, env, relations) and \
-                    self._run_plan(steps, i + 1, leftovers, env):
-                del env[var]
-                return True
-        env.pop(var, None)
-        return False
+        vs = phi.vars if type(phi) in (Exists, Forall) else ()
+        return _run(_plan(phi, frozenset(env).difference(vs)), env, self.s)
 
 
 def eval_formula(structure, phi, env=None):

@@ -138,14 +138,10 @@ class ColorOrderMap:
                 raise ConstraintError(f"images of {s1} and {s2} are not increasing")
         self.seeds = dict(items)
         self._sources = [s for s, _ in items]
-        self.memo = {}
 
     def image(self, q):
         if q in self.seeds:
             return self.seeds[q]
-        got = self.memo.get(q)
-        if got is not None:
-            return got
         lo = hi = None
         lo_img = hi_img = None
         for s in self._sources:
@@ -154,9 +150,7 @@ class ColorOrderMap:
             else:
                 hi, hi_img = s, self.seeds[s]
                 break
-        img = self._gap_image(lo, lo_img, hi, hi_img, q)
-        self.memo[q] = img
-        return img
+        return self._gap_image(lo, lo_img, hi, hi_img, q)
 
     @staticmethod
     def _gap_image(lo, lo_img, hi, hi_img, q):

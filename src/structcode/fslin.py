@@ -131,11 +131,14 @@ def fs_enumerate(g, max_half_len, max_exponent):
     Returned in increasing order, without sorting: each coordinate runs
     through its candidates in increasing order, a colour-1 padding
     coordinate closing the element with each tail, a colour-0 one going on
-    with each coordinate of a vertex not yet mentioned.
+    with each coordinate of a vertex not yet mentioned.  A negative cap
+    raises PreconditionError.
     """
+    if max_half_len < 0 or max_exponent < 0:
+        raise PreconditionError("caps must be nonnegative")
     # the points a / 2**max_exponent in increasing order, in lowest terms
     points = [Dyadic(a // (a & -a), max_exponent + 1 - (a & -a).bit_length())
-              for a in range(1, 1 << max(max_exponent, 0))]
+              for a in range(1, 1 << max_exponent)]
     pads = [(r, color(r)) for r in points if color(r) < 2]
     coords = [(q, color(q)) for q in points if color(q) in g.universe_set]
 
@@ -150,7 +153,7 @@ def fs_enumerate(g, max_half_len, max_exponent):
                     if v not in ment:
                         yield from extend(prefix + (r, q), ment + (v,))
 
-    return list(extend((), ())) if max_half_len >= 0 else []
+    return list(extend((), ()))
 
 
 # ---------------------------------------------------------------------------

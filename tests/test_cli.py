@@ -4,7 +4,10 @@ import argparse
 import io
 import contextlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import structcode
 from structcode.cli import build_parser, main
 
 HERE = pathlib.Path(__file__).parent
@@ -134,6 +138,30 @@ class TestExitCodes:
                          "--bound", bound, str(DATA / "path3.graph")])
         assert code == 3
         assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("caps", [["--half-len", "-1"],
+                                      ["--max-exp", "-3"]])
+    def test_negative_enumerate_cap_is_three(self, caps):
+        code, out = run(["fs", "enumerate", "--graph",
+                         str(DATA / "edge2.graph"), *caps])
+        assert code == 3
+        assert "error" in json.loads(out)
+
+    def test_enumerate_cap_zero_is_kept(self):
+        code, out = run(["fs", "enumerate", "--graph",
+                         str(DATA / "edge2.graph"), "--max-exp", "0"])
+        assert code == 0
+        assert json.loads(out) == {"count": 0, "elements": []}
+
+    @pytest.mark.parametrize("value", ["x", "7"])
+    def test_seed_environment_variable_is_ignored(self, value):
+        # read neither when the module is imported nor when main runs
+        argv = ["interp", "int", "--n", "1"]
+        env = dict(os.environ, STRUCTCODE_SEED=value, PYTHONPATH=str(
+            pathlib.Path(structcode.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "structcode.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == run(argv)
 
     def test_pair_bound_zero_is_kept(self):
         code, out = run(["bnf", "pair", "--gamma", "1", "--length", "1",

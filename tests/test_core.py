@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from structcode.core import (And, BigAnd, BigOr, Digraph, Eq, EvalError,
                              Evaluator, Exists, FinLinOrder, Forall,
                              LoopedDigraph, Not, Or, PreconditionError, Rel,
-                             Structure, UGraph, _conjuncts, _holds,
-                             _join_plan, _literal, _literals_hold,
+                             Structure, UGraph, _conjuncts, _join_plan,
+                             _literal,
                              atom_places, atomic_type_of, classify, conj,
                              disj, distinct_all, eval_formula, fingerprint,
                              iso_check, tuples_of_type, type_count,
@@ -406,24 +406,26 @@ class TestJoinPlan:
             return Or((Not(Rel("E", ("x", "x"))), Rel("E", vs)))
         body = And((clause("x", "x"), clause("y", "x"), clause("z", "y"),
                     Eq("y", "y")))
-        pre_holds, pre, (y_step, z_step), leftovers = _join_plan(
+        pre, (y_step, z_step), leftovers = _join_plan(
             ("y", "z"), _conjuncts(body, True, []), {"x"})
-        assert pre_holds is _holds and len(pre[1]) == 1
+        assert pre[0] == () and len(pre[1]) == 1 and pre[2] == ()
         for var, step in (("y", y_step), ("z", z_step)):
-            assert step[0] == var and step[2] is _holds
-            assert len(step[3][1]) == 1
+            assert step[0] == var
+            literals, negated, rest = step[3]
+            assert literals == () and len(negated) == 1 and rest == ()
         assert leftovers == ((), (), ())
         # a step with no clause checks its literals alone
-        _, _, (step,), _ = _join_plan(("y",), [(Eq("y", "y"), True)], {"x"})
-        assert step[2] is _literals_hold and len(step[3]) == 1
+        _, (step,), _ = _join_plan(("y",), [(Eq("y", "y"), True)], {"x"})
+        assert len(step[2]) == 1 and step[3] is None
 
     @pytest.mark.parametrize("gamma", [1, 2])
     def test_negated_move_diagrams_skip_implied_distinctness(self, gamma):
         g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
         leaf = next(p for p in phi_tuple(g, (0, 1), gamma).parts
                     if type(p) is Forall and p.vars == ("x3",))
-        _, _, (step,), leftovers = _join_plan(
-            leaf.vars, _conjuncts(leaf.body, False, []), {"x1", "x2"})
+        outer = frozenset({"x1", "x2"})
+        _, (step,), leftovers = _join_plan(
+            leaf.vars, _conjuncts(leaf.body, False, []), outer)
         # the plan checks x3 != x1 and x3 != x2 before the move's diagram,
         # which keeps only x1 != x2 of its distinctness prefix
         distinct = {_literal(Eq("x3", "x1"), False),
@@ -433,20 +435,25 @@ class TestJoinPlan:
                      _literal(a.body, False) for a in move.parts
                      if a not in (Not(Eq("x1", "x3")), Not(Eq("x2", "x3"))))
         assert _literal(Eq("x1", "x2"), False) in kept
+        assert set(step[2]) == distinct
         if gamma == 1:
             # a quantifier-free conjunct: checked at the step of x3
-            assert step[2] is _holds and leftovers == ((), (), ())
-            literals, negated, rest = step[3]
-            assert set(literals) == distinct and rest == ()
-            assert negated == ((_literals_hold, kept),)
+            assert step[3] == ((), ((kept, (), ()),), ())
+            assert leftovers == ((), (), ())
         else:
             # the move's level-1 formula has quantifiers: a leftover, whose
-            # diagram is compiled and checked before them
-            assert step[2] is _literals_hold and set(step[3]) == distinct
+            # diagram is compiled and checked before the plans of its
+            # quantifiers, which are the plans kept on their nodes
+            assert step[3] is None
             (sub,) = [p for p in leaf.body.parts if type(p) is BigAnd]
             assert sub.parts[0] == move
-            assert leftovers == ((), ((_holds, (kept, (), tuple(
-                (p, True) for p in sub.parts[1:]))),), ())
+            assert leftovers[0] == () and leftovers[2] == ()
+            (literals, negated, rest), = leftovers[1]
+            assert literals == kept and negated == ()
+            assert rest and len(rest) == len(sub.parts) - 1
+            for (plan, want), p in zip(rest, sub.parts[1:]):
+                assert want is True
+                assert plan is p.plans[(outer | {"x3"}).difference(p.vars)]
 
 
 # ---------------------------------------------------------------------------

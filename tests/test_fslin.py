@@ -111,6 +111,11 @@ class TestEnumerate:
         assert FSElement((D(1, 2), D(3, 2)), (D(1, 1),), 1) in frag
         assert FSElement((D(1, 1),), (), 0) not in frag  # colour 0 required
 
+    @pytest.mark.parametrize("caps", [(-1, 3), (1, -3), (-1, -1)])
+    def test_negative_caps_raise(self, caps):
+        with pytest.raises(PreconditionError):
+            fs_enumerate(edge_graph(), *caps)
+
 
 def naive_enumerate(g, max_half_len, max_exponent):
     """Every sequence within the caps that fs_member accepts, as sorted
@@ -138,8 +143,10 @@ ENUMERATE_GRAPHS = [
 
 class TestEnumerateDifferential:
     # (3, 1) and (3, 2) cap the half length above the vertex count of every
-    # graph here but the 3-vertex ones; exponent 1 gives no colour-1 point
-    @pytest.mark.parametrize("caps", [(2, 3), (1, 4), (3, 1), (3, 2)])
+    # graph here but the 3-vertex ones; exponent 1 gives no colour-1 point,
+    # and a zero cap is kept
+    @pytest.mark.parametrize("caps", [(2, 3), (1, 4), (3, 1), (3, 2), (0, 3),
+                                      (1, 0)])
     @pytest.mark.parametrize("g", ENUMERATE_GRAPHS, ids=lambda g: str(
         (sorted(g.universe), sorted(g.relations["E"]))))
     def test_matches_naive_reference(self, g, caps):
