@@ -13,12 +13,13 @@ import json
 import sys
 
 from . import formats
-from .backforth import (bf_equiv, distinguishing_move, interval_equiv,
+from .backforth import (distinguishing_move, interval_equiv,
                         lg_certify, lg_concat_certify, phi_pair, phi_tuple)
 from .codings import (OMEGA, daisy_decode, daisy_encode, shuffle_build,
                       shuffle_decode, Block, ShuffleFragment)
 from .core import (Digraph, FinLinOrder, LoopedDigraph, MalformedInputError,
-                   PreconditionError, StructError, UGraph, classify)
+                   PreconditionError, StructError, UGraph, classify,
+                   ident_key)
 from .fslin import (block_of, fs_compare, fs_element, fs_enumerate, mentions,
                     min_length_in_interval, shape, shape_formulas, shift_tuple)
 from .interp import builtin_int_in_nat, check_interpretation, marker_interp, trivial_interp
@@ -66,15 +67,14 @@ def load_struct(path):
 
 
 def _graph_payload(g):
-    def key(v):
-        return (str(type(v)), v)
-    if "E" in g.signature and isinstance(g, UGraph):
-        edges = {tuple(sorted(e, key=key)) for e in g.undirected_edges()}
+    if isinstance(g, UGraph):
+        edges = {tuple(sorted(e, key=ident_key)) for e in g.undirected_edges()}
     else:
-        edges = set(g.relations["E"])
+        edges = g.relations["E"]
     return {"schema": SCHEMA,
-            "vertices": sorted(g.universe, key=key),
-            "edges": [list(e) for e in sorted(edges, key=lambda e: tuple(map(key, e)))]}
+            "vertices": sorted(g.universe, key=ident_key),
+            "edges": [list(e) for e in sorted(
+                edges, key=lambda e: tuple(map(ident_key, e)))]}
 
 
 def _json_arg(raw, what):
@@ -138,7 +138,7 @@ def cmd_marker(args):
         payload = _graph_payload(code.graph)
         if args.tags:
             payload["tags"] = {str(v): list(map(str, tag))
-                               for v, tag in sorted(code.provenance.items())}
+                               for v, tag in code.provenance.items()}
         return 0, payload
     if args.action == "decode":
         g = marker_decode(load_graph(args.file, UGraph))
@@ -201,8 +201,7 @@ def cmd_fs(args):
         res = shift_tuple(g, elems, _elem_arg(g, args.past), side=args.side)
         return 0, {"elements": [formats.element_to_json(e) for e in res.elements],
                    "separator": formats.element_to_json(res.separator),
-                   "map": {str(k): str(v)
-                           for k, v in sorted(res.map.seeds.items())}}
+                   "map": {str(k): str(v) for k, v in res.map.seeds.items()}}
     if args.action == "certify":
         t1 = _tuple_arg(g, args.tuple_a)
         t2 = _tuple_arg(g, args.tuple_b)
@@ -224,13 +223,11 @@ def cmd_bnf(args):
     if args.action == "equiv":
         a, b = load_struct(args.files[0]), load_struct(args.files[1])
         ta, tb = _vertex_tuple(a, args.tuple_a), _vertex_tuple(b, args.tuple_b)
-        eq = bf_equiv(a, ta, b, tb, args.gamma, args.bound)
-        payload = {"equivalent": eq, "gamma": args.gamma}
-        if not eq:
-            payload["witness"] = json.loads(json.dumps(
-                distinguishing_move(a, ta, b, tb, args.gamma, args.bound),
-                default=str))
-        return (0 if eq else 1), payload
+        witness = distinguishing_move(a, ta, b, tb, args.gamma, args.bound)
+        payload = {"equivalent": witness is None, "gamma": args.gamma}
+        if witness is not None:
+            payload["witness"] = json.loads(json.dumps(witness, default=str))
+        return (0 if witness is None else 1), payload
     if args.action == "formula":
         a = load_struct(args.files[0])
         tup = _vertex_tuple(a, args.tuple_a)
@@ -260,8 +257,7 @@ def _report_payload(rep):
             "domain_size": rep.domain_size,
             "failures": json.loads(json.dumps(rep.failures, default=str)),
             "iso": None if rep.iso is None
-            else {str(k): str(v) for k, v in sorted(rep.iso.items(),
-                                                    key=lambda kv: str(kv[0]))},
+            else {str(k): str(v) for k, v in rep.iso.items()},
             "notes": rep.notes}
 
 
@@ -353,7 +349,7 @@ def cmd_shuffle(args):
         f = shuffle_build(labels, args.omega, args.resolution)
         return 0, _fragment_payload(f)
     report = shuffle_decode(_parse_file(args.file, _fragment_from_text))
-    return 0, {"report": {str(n): v for n, v in sorted(report.items())}}
+    return 0, {"report": {str(n): v for n, v in report.items()}}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ provisional by construction: it reports what the finite stage shows.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .core import MalformedInputError, PreconditionError, UGraph
@@ -152,7 +151,7 @@ def min_resolution(label_count):
     """Least resolution at which round-robin assignment is dense at scale 1."""
     if label_count < 1:
         raise PreconditionError("at least one label required")
-    return math.ceil(math.log2(label_count)) + 2
+    return (label_count - 1).bit_length() + 2
 
 
 def index_points(resolution):

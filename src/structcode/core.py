@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -35,6 +36,12 @@ class MalformedInputError(StructError):
 
 # ---------------------------------------------------------------------------
 # structures
+
+
+def ident_key(v):
+    """The one sort key for element identifiers, which may mix integers and
+    strings: by type, then by value."""
+    return (str(type(v)), v)
 
 
 class Structure:
@@ -180,7 +187,7 @@ class UGraph(Structure):
         return {frozenset(e) for e in self.relations["E"]}
 
     def neighbors(self, v):
-        return sorted(t[1] for t in self.matches("E", (v, None)))
+        return [t[1] for t in self.matches("E", (v, None))]
 
 
 class FinLinOrder(Structure):
@@ -624,56 +631,37 @@ def eval_formula(structure, phi, env=None):
 # ---------------------------------------------------------------------------
 # syntactic complexity
 
-_QF = (0, 0)
-
-
 def _ranks(phi, cache):
     """Return (s, p): the least levels k with phi in Sigma_k resp. Pi_k.
 
     (0, 0) means quantifier-free.  And/Or use the finitary closure rules
     (both classes are closed under finite junctions); BigAnd/BigOr use the
     convention for junctions over infinite families, which raises the dual
-    level by one.
+    level by one.  Forall and BigOr are the duals of Exists and BigAnd.
     """
     got = cache.get(id(phi))
     if got is not None:
         return got
-    if isinstance(phi, (Rel, Eq)):
-        out = _QF
-    elif isinstance(phi, Not):
+    t = type(phi)
+    if t is Rel or t is Eq:
+        out = (0, 0)
+    elif t is Not:
+        out = _ranks(phi.body, cache)[::-1]
+    elif t is And or t is Or:
+        rs = [_ranks(q, cache) for q in phi.parts]
+        out = (max((s for s, _ in rs), default=0),
+               max((p for _, p in rs), default=0))
+    elif t is BigAnd or t is BigOr:
+        # the members' largest Pi level for BigAnd, Sigma level for BigOr
+        i = 1 if t is BigAnd else 0
+        k = max([1, *(_ranks(q, cache)[i] for q in phi.parts)])
+        out = (k + 1, k) if i else (k, k + 1)
+    elif t is Exists or t is Forall:
         s, p = _ranks(phi.body, cache)
-        out = (p, s)
-    elif isinstance(phi, (And, Or)):
-        rs = [_ranks(p, cache) for p in phi.parts]
-        out = (max((r[0] for r in rs), default=0),
-               max((r[1] for r in rs), default=0))
-    elif isinstance(phi, (BigAnd, BigOr)):
-        rs = [_ranks(p, cache) for p in phi.parts]
-        nonqf = [r for r in rs if r != _QF]
-        if not nonqf:
-            # a family of quantifier-free members: the conjunction is Pi_1,
-            # the disjunction Sigma_1
-            out = (2, 1) if isinstance(phi, BigAnd) else (1, 2)
-        elif isinstance(phi, BigAnd):
-            p = max(r[1] for r in nonqf)
-            out = (p + 1, p)
-        else:
-            s = max(r[0] for r in nonqf)
-            out = (s, s + 1)
-    elif isinstance(phi, Exists):
-        sc, pc = _ranks(phi.body, cache)
-        if (sc, pc) == _QF:
-            out = (1, 2)
-        else:
-            s = max(1, min(pc + 1, sc if sc >= 1 else pc + 1))
-            out = (s, s + 1)
-    elif isinstance(phi, Forall):
-        sc, pc = _ranks(phi.body, cache)
-        if (sc, pc) == _QF:
-            out = (2, 1)
-        else:
-            p = max(1, min(sc + 1, pc if pc >= 1 else sc + 1))
-            out = (p + 1, p)
+        if t is Forall:
+            s, p = p, s
+        k = max(1, min(s, p + 1))
+        out = (k, k + 1) if t is Exists else (k + 1, k)
     else:
         raise EvalError(f"not a formula node: {phi!r}")
     cache[id(phi)] = out
@@ -688,7 +676,7 @@ def classify(phi):
     Pi side.
     """
     s, p = _ranks(phi, {})
-    if (s, p) == _QF:
+    if s == p == 0:
         return ("qf", 0)
     if s < p:
         return ("sigma", s)
@@ -788,107 +776,80 @@ def tuples_of_type(graph, atype):
 
 
 def _refine_colors(s):
-    """Colour refinement on a structure; returns element -> colour id."""
-    colors = {}
-    for e in s.universe:
-        profile = []
-        for name in sorted(s.signature):
-            arity = s.signature[name]
-            for pos in range(arity):
-                profile.append(sum(1 for t in s.relations[name] if t[pos] == e))
-        colors[e] = tuple(profile)
-    incident = {e: [] for e in s.universe}
-    for name in sorted(s.signature):
-        for t in sorted(s.relations[name], key=repr):
+    """Colour refinement on a structure.  Returns (colours, table): element
+    -> colour id, and element -> its incidence entries (relation, position,
+    tuple).  An element starts with its entry counts per (relation,
+    position), relations in name order."""
+    table = {e: [] for e in s.universe}
+    for name in s.signature:
+        for t in s.relations[name]:
             for pos, e in enumerate(t):
-                incident[e].append((name, pos, t))
+                table[e].append((name, pos, t))
+    places = [(name, pos) for name in sorted(s.signature)
+              for pos in range(s.signature[name])]
+    colors = {}
+    for e, entries in table.items():
+        counts = Counter((name, pos) for name, pos, _ in entries)
+        colors[e] = tuple(counts[place] for place in places)
     while True:
         new = {}
-        for e in s.universe:
+        for e, entries in table.items():
             sig = sorted((name, pos, tuple(colors[x] for x in t))
-                         for name, pos, t in incident[e])
+                         for name, pos, t in entries)
             new[e] = (colors[e], tuple(sig))
         # canonicalize to small ids to keep the tuples from growing
         ids = {}
-        flat = {}
-        for e in sorted(s.universe, key=lambda x: (repr(new[x]), repr(x))):
-            flat[e] = ids.setdefault(new[e], len(ids))
-        if len(set(flat.values())) == len(set(colors.values())):
-            return flat
+        flat = {e: ids.setdefault(new[e], len(ids)) for e in sorted(
+            s.universe, key=lambda x: (repr(new[x]), repr(x)))}
+        if len(ids) == len(set(colors.values())):
+            return flat, table
         colors = flat
 
 
-def iso_check(a, b, max_size=12):
-    """Search for an isomorphism between two structures.
+def iso_check(a, b):
+    """A dict mapping A's universe onto B's that is an isomorphism, or None
+    if the structures are not isomorphic.
 
-    Returns a dict mapping A's universe onto B's, or None if the structures
-    are not isomorphic.  ``max_size`` guards against accidental huge
-    searches; pass None to lift the cap.
-    """
-    if sorted(a.signature.items()) != sorted(b.signature.items()):
+    Both are colour-refined.  A's elements are placed in order of colour
+    class size, colour id and ``repr``, each tried on the unused elements of
+    its colour in B in ``repr`` order; a choice stands when every tuple of A
+    it completes maps into B.  The first total map is checked both ways."""
+    if a.signature != b.signature or len(a.universe) != len(b.universe) or \
+            any(len(ts) != len(b.relations[n]) for n, ts in a.relations.items()):
         return None
-    if len(a.universe) != len(b.universe):
+    ca, table = _refine_colors(a)
+    cb, _ = _refine_colors(b)
+    sizes = Counter(ca.values())
+    if sizes != Counter(cb.values()):
         return None
-    if max_size is not None and len(a.universe) > max_size:
-        raise PreconditionError(
-            f"structures larger than {max_size} elements; pass max_size=None")
-    for name in a.signature:
-        if len(a.relations[name]) != len(b.relations[name]):
-            return None
-    ca = _refine_colors(a)
-    cb = _refine_colors(b)
-    by_color_a = {}
-    for e, c in ca.items():
-        by_color_a.setdefault(c, []).append(e)
-    by_color_b = {}
-    for e, c in cb.items():
-        by_color_b.setdefault(c, []).append(e)
-    if sorted((c, len(v)) for c, v in by_color_a.items()) != \
-       sorted((c, len(v)) for c, v in by_color_b.items()):
-        return None
-
-    incident_a = {e: [] for e in a.universe}
-    for name in a.signature:
-        for t in a.relations[name]:
-            for e in set(t):
-                incident_a[e].append((name, t))
-
-    order = sorted(a.universe, key=lambda e: (len(by_color_a[ca[e]]), repr(ca[e]), repr(e)))
+    images = {}
+    for y in sorted(b.universe, key=repr):
+        images.setdefault(cb[y], []).append(y)
+    order = sorted(a.universe,
+                   key=lambda x: (sizes[ca[x]], repr(ca[x]), repr(x)))
     mapping = {}
     used = set()
 
-    def consistent(e, img):
-        for name, t in incident_a[e]:
-            if all(x in mapping or x == e for x in t):
-                timg = tuple(mapping.get(x, img) if x != e else img for x in t)
-                if timg not in b.relations[name]:
-                    return False
-        # reverse direction: counts per relation among the mapped part must
-        # agree, checked fully below once the map is total
-        return True
-
-    def backtrack(i):
+    def extend(i):
         if i == len(order):
             return True
-        e = order[i]
-        for img in sorted(by_color_b[ca[e]], key=repr):
-            if img in used:
+        x = order[i]
+        for y in images[ca[x]]:
+            if y in used:
                 continue
-            if consistent(e, img):
-                mapping[e] = img
-                used.add(img)
-                if backtrack(i + 1):
+            mapping[x] = y
+            if all(tuple(map(mapping.get, t)) in b.relations[name]
+                   for name, _, t in table[x] if all(v in mapping for v in t)):
+                used.add(y)
+                if extend(i + 1):
                     return True
-                del mapping[e]
-                used.discard(img)
+                used.discard(y)
+            del mapping[x]
         return False
 
-    if not backtrack(0):
+    if not extend(0):
         return None
-    # the forward check plus equal relation sizes makes the map an isomorphism,
-    # but verify both directions explicitly
-    for name in a.signature:
-        fwd = {tuple(mapping[x] for x in t) for t in a.relations[name]}
-        if fwd != b.relations[name]:
+    for name, ts in a.relations.items():
+        if {tuple(map(mapping.get, t)) for t in ts} != b.relations[name]:
             return None
-    return dict(mapping)
+    return mapping

@@ -165,7 +165,7 @@ def check_interpretation(carrier, spec, target, max_arity, seed=0,
 
     quotient = Structure(range(len(classes)), dict(spec.target_signature),
                          quotient_rels)
-    iso = iso_check(quotient, target, max_size=None)
+    iso = iso_check(quotient, target)
     if iso is None:
         failures.append(("quotient-not-isomorphic",
                          (len(classes), len(target.universe))))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .core import (And, Digraph, Eq, Evaluator, Exists, MalformedInputError,
                    Not, PreconditionError, Rel, Structure, UGraph,
-                   distinct_all)
+                   distinct_all, ident_key)
 
 
 @dataclass
@@ -46,13 +46,14 @@ def marker_encode(g):
         prov[v] = tag
         return v
 
+    order = sorted(g.vertices, key=ident_key)
     base = {}
-    for a in sorted(g.vertices):
+    for a in order:
         b = fresh(("base", a))
         t1, t2, t3 = (fresh(("tri", a, i)) for i in range(3))
         edges += [(t1, t2), (t2, t3), (t3, t1), (b, t1)]
         base[a] = b
-    for a, a2 in itertools.permutations(sorted(g.vertices), 2):
+    for a, a2 in itertools.permutations(order, 2):
         p = fresh(("pair", a, a2))
         c = fresh(("mid", a, a2))
         edges += [(p, base[a]), (p, c), (c, base[a2])]
@@ -142,7 +143,7 @@ class MarkerStreamDecoder:
 
     def __init__(self):
         self.g = Structure((), {"E": 2}, {})
-        self.bases = set()
+        self.bases = {}  # in emission order
         self.emitted_edges = set()
         # the evaluator holds only the growing structure, which keeps its
         # indexes up to date as facts arrive; the join plans live on the
@@ -173,16 +174,15 @@ class MarkerStreamDecoder:
         if u == v:
             raise MalformedInputError(f"self-loop at {u!r} not allowed")
         self.g.add((u, v), [("E", (u, v)), ("E", (v, u))])
-        out = []
         # a new edge can only create base points within distance two of it
-        for x in self._ball({u, v}, 2):
-            if x not in self.bases and self._ev.eval(_BASE_POINT, {"x": x}):
-                self.bases.add(x)
-                out.append(("v", x))
+        new = sorted((x for x in self._ball({u, v}, 2) if x not in self.bases
+                      and self._ev.eval(_BASE_POINT, {"x": x})), key=ident_key)
+        self.bases.update(dict.fromkeys(new))
+        out = [("v", x) for x in new]
         # and new coded edges whose witness square uses the edge; the whole
         # witness sits within distance five of either endpoint
         near = self._ball({u, v}, 5)
-        for x, y in itertools.permutations(sorted(self.bases), 2):
+        for x, y in itertools.permutations(self.bases, 2):
             if (x, y) in self.emitted_edges or (x not in near and y not in near):
                 continue
             if self._ev.eval(_SQUARE, {"x": x, "y": y}):
@@ -191,7 +191,7 @@ class MarkerStreamDecoder:
         return out
 
     def result(self):
-        return Digraph(sorted(self.bases), self.emitted_edges)
+        return Digraph(sorted(self.bases, key=ident_key), self.emitted_edges)
 
 
 def diagram_facts(h):

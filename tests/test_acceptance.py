@@ -169,7 +169,7 @@ def test_02_marker_embedding_reflects_iso():
     for _ in range(30):
         g1, g2 = rng.sample(small, 2)
         assert iso_check(marker_encode(g1).graph,
-                         marker_encode(g2).graph, max_size=None) is None
+                         marker_encode(g2).graph) is None
 
 
 # ---------------------------------------------------------------------------

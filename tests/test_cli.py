@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structcode
-from structcode.cli import build_parser, main
+from structcode.cli import build_parser, load_struct, main
+from structcode.formats import interp_spec_to_text, parse_formula
+from structcode.interp import trivial_interp
 
 HERE = pathlib.Path(__file__).parent
 DATA = HERE / "data"
@@ -252,6 +254,60 @@ class TestExitCodes:
         code, _ = run(["marker", "stream-decode"])
         assert code == 2
 
+    # a triangle on the identifiers 0, a and 1
+    MIXED = "v 0\nv a\nv 1\ne 0 a\ne a 1\ne 1 0\n"
+
+    @pytest.mark.parametrize("argv, want", [
+        (["marker", "encode", "--tags"], {"0": ["base", "0"],
+                                          "4": ["base", "1"],
+                                          "8": ["base", "a"]}),
+        (["interp", "marker", "--graph"], {"classes": 3, "passed": True}),
+        (["daisy", "decode"], {"set": [0], "bound": 1})])
+    def test_mixed_ids_are_zero(self, tmp_path, argv, want):
+        mixed = tmp_path / "mixed.graph"
+        mixed.write_text(self.MIXED)
+        code, out = run([*argv, str(mixed)])
+        assert code == 0
+        payload = json.loads(out)
+        got = payload.get("tags", payload)
+        assert {k: got[k] for k in want} == want
+
+    def test_stream_mixed_ids_as_in_batch(self, monkeypatch, tmp_path):
+        # the code of a 3-vertex path, one base point renamed to a string
+        payload = json.loads(run(["marker", "encode",
+                                  str(DATA / "path3.graph")])[1])
+        name = {4: "q"}
+        text = "".join([f"v {name.get(v, v)}\n" for v in payload["vertices"]] +
+                       [f"e {name.get(u, u)} {name.get(v, v)}\n"
+                        for u, v in payload["edges"]])
+        coded = tmp_path / "coded.graph"
+        coded.write_text(text)
+        batch = json.loads(run(["marker", "decode", str(coded)])[1])
+        assert batch["vertices"] == [0, 8, "q"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out = run(["marker", "stream-decode"])
+        assert code == 0
+        facts = [line.split() for line in out.splitlines()]
+        assert sorted(v for _, v in (f for f in facts if f[0] == "v")) == \
+            sorted(map(str, batch["vertices"]))
+        assert sorted(f[1:] for f in facts if f[0] == "e") == \
+            sorted([str(u), str(v)] for u, v in batch["edges"])
+
+    def test_stream_bytes_do_not_depend_on_hash_seed(self):
+        # one edge completes the triangle and makes d, e and f base points
+        facts = "e a d\ne b e\ne c f\ne a b\ne b c\ne c a\n"
+        outs = set()
+        for seed in ("0", "1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(
+                pathlib.Path(structcode.__file__).parents[1]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "structcode.cli", "marker",
+                 "stream-decode"], input=facts, env=env, capture_output=True,
+                text=True)
+            assert proc.returncode == 0
+            outs.add(proc.stdout)
+        assert outs == {"v d\nv e\nv f\n"}
+
     def test_non_dyadic_coordinate_is_nonmember(self):
         code, out = run(["fs", "member", "--graph", str(DATA / "edge2.graph"),
                          '["1/3",0]'])
@@ -419,3 +475,100 @@ def test_fuzz_exit_codes(argv, file1, file2, stdin):
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
+
+
+# ---------------------------------------------------------------------------
+# payloads of the commands no other test runs
+
+
+class TestPayloads:
+    def test_stream_decode_lines_skip_blanks_and_comments(self, monkeypatch):
+        payload = json.loads(run(["marker", "encode",
+                                  str(DATA / "edge2.graph")])[1])
+        lines = ["# a coded edge", ""] + \
+            [f"v {v}" for v in payload["vertices"]] + ["   "] + \
+            [f"e {u} {v}  # fact" for u, v in payload["edges"]]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+        code, out = run(["marker", "stream-decode"])
+        assert code == 0
+        assert out == "v 0\nv 4\ne 0 4\n"
+
+    def test_marker_encode_tags(self):
+        code, out = run(["marker", "encode", "--tags",
+                         str(DATA / "edge2.graph")])
+        assert code == 0
+        payload = json.loads(out)
+        tags = payload["tags"]
+        assert len(tags) == len(payload["vertices"]) == 21
+        assert tags["0"] == ["base", "0"] and tags["4"] == ["base", "1"]
+        assert tags["8"] == ["pair", "0", "1"]
+        assert [tags[str(v)][0] for v in range(10, 14)] == ["poly"] * 4
+
+    def test_fs_compare(self):
+        a, b = '["1/4","1/2","3/4",0]', '["1/4","1/2","3/4",1]'
+        for x, y, want in ((a, b, -1), (b, a, 1), (a, a, 0)):
+            code, out = run(["fs", "compare", "--graph",
+                             str(DATA / "edge2.graph"), x, y])
+            assert (code, json.loads(out)) == (0, {"compare": want})
+
+    def test_fs_block(self):
+        code, out = run(["fs", "block", "--graph", str(DATA / "edge2.graph"),
+                         '["1/8","1/8","1/8","3/8","3/8",5]'])
+        assert (code, json.loads(out)) == (0, {"size": 8, "position": 5})
+
+    def test_fs_shape_formulas(self):
+        code, out = run(["fs", "shape", "--formulas", "--graph",
+                         str(DATA / "edge2.graph"),
+                         '["1/4","1/2","3/4",0]', '["1/4","1/2","3/4",1]'])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["gaps"] == [0]
+        for side in ("sigma", "pi"):
+            phi = parse_formula(payload[side]["formula"])
+            assert payload[side]["level"] == f"{side} 4"
+            assert str(phi) == payload[side]["formula"]
+
+    def test_fs_certify_concatenated(self):
+        argv = ["fs", "certify", "--graph", str(DATA / "edge2.graph"),
+                "--gamma", "1",
+                "--tuple-a", '[["1/4","1/4","3/4",0]]',
+                "--tuple-b", '[["1/4","1/4","3/4",0]]',
+                "--tuple-a2", '[["1/2","1/4","3/4",0]]']
+        code, _ = run(argv)
+        assert code == 2
+        code, out = run(argv + ["--tuple-b2", '[["1/2","1/2","3/4",0]]'])
+        assert code == 0
+        assert json.loads(out) == {
+            "verdict": "Equivalent",
+            "evidence": ["parts", ["shape+mentions", [0], [0]],
+                         ["shape+mentions", [0], [0]]]}
+
+    def test_bnf_formula(self):
+        code, out = run(["bnf", "formula", "--gamma", "1", "--tuple-a", "0",
+                         str(DATA / "path3.graph")])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["level"] == "pi 2"
+        assert str(parse_formula(payload["formula"])) == payload["formula"]
+
+    def test_interp_check_and_trivial(self, tmp_path):
+        # the trivial interpretation, written out as a spec file, checks
+        # the same as the trivial command
+        target = load_struct(str(DATA / "path3.graph"))
+        carrier = load_struct(str(DATA / "chain3.order"))
+        spec = tmp_path / "spec.txt"
+        spec.write_text(interp_spec_to_text(trivial_interp(target, carrier)[0]))
+        trivial = run(["interp", "trivial", "--target",
+                       str(DATA / "path3.graph"), "--carrier",
+                       str(DATA / "chain3.order")])
+        assert trivial[0] == 0
+        assert json.loads(trivial[1]) == {
+            "passed": True, "classes": 3, "domain_size": 39, "failures": [],
+            "iso": {"0": "0", "1": "1", "2": "2"}, "notes": []}
+        argv = ["interp", "check", "--carrier", str(DATA / "chain3.order"),
+                "--spec", str(spec), "--max-arity", "3", "--target"]
+        assert run(argv + [str(DATA / "path3.graph")]) == trivial
+        code, out = run(argv + [str(DATA / "edge2.graph")])
+        assert code == 1
+        assert json.loads(out)["failures"] == [
+            ["quotient-not-isomorphic", [3, 2]]]

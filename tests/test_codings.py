@@ -64,6 +64,16 @@ class TestShuffleBuild:
         with pytest.raises(PreconditionError):
             min_resolution(0)
 
+    def test_min_resolution_is_exact_around_powers_of_two(self):
+        # 2 + the least e with 2**e >= n; a float log2 is off from
+        # n = 2**53 + 1 on
+        for k in range(71):
+            cases = [(2 ** k, k), (2 ** k + 1, k + 1)]
+            if k >= 2:
+                cases.append((2 ** k - 1, k))
+            for n, e in cases:
+                assert min_resolution(n) == e + 2, n
+
     def test_index_points_sorted_complete(self):
         pts = index_points(3)
         assert len(pts) == 7

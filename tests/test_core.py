@@ -11,7 +11,7 @@ from structcode.core import (And, BigAnd, BigOr, Digraph, Eq, EvalError,
                              Evaluator, Exists, FinLinOrder, Forall,
                              LoopedDigraph, Not, Or, PreconditionError, Rel,
                              Structure, UGraph, _conjuncts, _join_plan,
-                             _literal,
+                             _literal, _refine_colors,
                              atom_places, atomic_type_of, classify, conj,
                              disj, distinct_all, eval_formula, fingerprint,
                              iso_check, tuples_of_type, type_count,
@@ -587,6 +587,89 @@ class TestClassify:
         assert isinstance(disj([a, b]), Or)
 
 
+def _reference_ranks(phi, cache):
+    """An earlier ``_ranks``, with its special cases for quantifier-free
+    parts, kept as the reference for ``classify``."""
+    got = cache.get(id(phi))
+    if got is not None:
+        return got
+    if isinstance(phi, (Rel, Eq)):
+        out = (0, 0)
+    elif isinstance(phi, Not):
+        s, p = _reference_ranks(phi.body, cache)
+        out = (p, s)
+    elif isinstance(phi, (And, Or)):
+        rs = [_reference_ranks(p, cache) for p in phi.parts]
+        out = (max((r[0] for r in rs), default=0),
+               max((r[1] for r in rs), default=0))
+    elif isinstance(phi, (BigAnd, BigOr)):
+        rs = [_reference_ranks(p, cache) for p in phi.parts]
+        nonqf = [r for r in rs if r != (0, 0)]
+        if not nonqf:
+            out = (2, 1) if isinstance(phi, BigAnd) else (1, 2)
+        elif isinstance(phi, BigAnd):
+            p = max(r[1] for r in nonqf)
+            out = (p + 1, p)
+        else:
+            s = max(r[0] for r in nonqf)
+            out = (s, s + 1)
+    elif isinstance(phi, Exists):
+        sc, pc = _reference_ranks(phi.body, cache)
+        if (sc, pc) == (0, 0):
+            out = (1, 2)
+        else:
+            s = max(1, min(pc + 1, sc if sc >= 1 else pc + 1))
+            out = (s, s + 1)
+    else:
+        sc, pc = _reference_ranks(phi.body, cache)
+        if (sc, pc) == (0, 0):
+            out = (2, 1)
+        else:
+            p = max(1, min(sc + 1, pc if pc >= 1 else sc + 1))
+            out = (p + 1, p)
+    cache[id(phi)] = out
+    return out
+
+
+def _reference_classify(phi):
+    s, p = _reference_ranks(phi, {})
+    if (s, p) == (0, 0):
+        return ("qf", 0)
+    return ("sigma", s) if s < p else ("pi", p)
+
+
+def _random_formula(rng, depth, built):
+    """A formula over every node type, empty junctions included; now and
+    then a node built earlier is shared, as generated formulas share."""
+    if built and rng.random() < 0.1:
+        return rng.choice(built)
+    if depth == 0 or rng.random() < 0.15:
+        phi = rng.choice([Rel("E", ("x", "y")), Eq("x", "y")])
+    else:
+        kind = rng.choice([Not, And, Or, BigAnd, BigOr, Exists, Forall])
+        if kind is Not:
+            phi = Not(_random_formula(rng, depth - 1, built))
+        elif kind in (Exists, Forall):
+            phi = kind(("y",), _random_formula(rng, depth - 1, built))
+        else:
+            phi = kind(tuple(_random_formula(rng, depth - 1, built)
+                             for _ in range(rng.randint(0, 3))))
+    built.append(phi)
+    return phi
+
+
+def test_classify_matches_reference():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(4000):
+        phi = _random_formula(rng, rng.randint(0, 7), [])
+        got = classify(phi)
+        assert got == _reference_classify(phi), phi
+        seen.add(got)
+    assert {("qf", 0), ("sigma", 1), ("pi", 1), ("sigma", 5),
+            ("pi", 5)} <= seen
+
+
 # ---------------------------------------------------------------------------
 # atomic facts of tuples
 
@@ -736,3 +819,163 @@ def test_iso_invariant_under_relabeling(n, data):
     perm = data.draw(st.permutations(range(n)))
     h = Digraph(range(n), [(perm[u], perm[v]) for u, v in edges])
     assert iso_check(g, h) is not None
+
+
+def _reference_refine(s):
+    """An earlier ``_refine_colors``, kept as the reference: element ->
+    colour id."""
+    colors = {}
+    for e in s.universe:
+        profile = []
+        for name in sorted(s.signature):
+            for pos in range(s.signature[name]):
+                profile.append(sum(1 for t in s.relations[name]
+                                   if t[pos] == e))
+        colors[e] = tuple(profile)
+    incident = {e: [] for e in s.universe}
+    for name in sorted(s.signature):
+        for t in sorted(s.relations[name], key=repr):
+            for pos, e in enumerate(t):
+                incident[e].append((name, pos, t))
+    while True:
+        new = {}
+        for e in s.universe:
+            sig = sorted((name, pos, tuple(colors[x] for x in t))
+                         for name, pos, t in incident[e])
+            new[e] = (colors[e], tuple(sig))
+        ids = {}
+        flat = {}
+        for e in sorted(s.universe, key=lambda x: (repr(new[x]), repr(x))):
+            flat[e] = ids.setdefault(new[e], len(ids))
+        if len(set(flat.values())) == len(set(colors.values())):
+            return flat
+        colors = flat
+
+
+def _reference_iso(a, b):
+    """An earlier ``iso_check``, kept as the reference: the mapping it
+    returns, or None."""
+    if sorted(a.signature.items()) != sorted(b.signature.items()):
+        return None
+    if len(a.universe) != len(b.universe):
+        return None
+    for name in a.signature:
+        if len(a.relations[name]) != len(b.relations[name]):
+            return None
+    ca = _reference_refine(a)
+    cb = _reference_refine(b)
+    by_color_a = {}
+    for e, c in ca.items():
+        by_color_a.setdefault(c, []).append(e)
+    by_color_b = {}
+    for e, c in cb.items():
+        by_color_b.setdefault(c, []).append(e)
+    if sorted((c, len(v)) for c, v in by_color_a.items()) != \
+       sorted((c, len(v)) for c, v in by_color_b.items()):
+        return None
+    incident_a = {e: [] for e in a.universe}
+    for name in a.signature:
+        for t in a.relations[name]:
+            for e in set(t):
+                incident_a[e].append((name, t))
+    order = sorted(a.universe, key=lambda e: (len(by_color_a[ca[e]]),
+                                              repr(ca[e]), repr(e)))
+    mapping = {}
+    used = set()
+
+    def consistent(e, img):
+        for name, t in incident_a[e]:
+            if all(x in mapping or x == e for x in t):
+                timg = tuple(mapping.get(x, img) if x != e else img for x in t)
+                if timg not in b.relations[name]:
+                    return False
+        return True
+
+    def backtrack(i):
+        if i == len(order):
+            return True
+        e = order[i]
+        for img in sorted(by_color_b[ca[e]], key=repr):
+            if img in used:
+                continue
+            if consistent(e, img):
+                mapping[e] = img
+                used.add(img)
+                if backtrack(i + 1):
+                    return True
+                del mapping[e]
+                used.discard(img)
+        return False
+
+    if not backtrack(0):
+        return None
+    for name in a.signature:
+        fwd = {tuple(mapping[x] for x in t) for t in a.relations[name]}
+        if fwd != b.relations[name]:
+            return None
+    return dict(mapping)
+
+
+_ISO_SIGNATURES = [{"E": 2}, {"E": 2, "P": 1}, {"R": 3},
+                   {"E": 2, "R": 3, "Z": 0}]
+
+
+def _random_ids(rng, n):
+    kind = rng.choice(["int", "str", "mixed"])
+    ids = [i if kind == "int" or kind == "mixed" and i % 2 else f"v{i}"
+           for i in range(n)]
+    rng.shuffle(ids)
+    return ids
+
+
+def _random_pair(rng):
+    """Two structures on one signature: an isomorphic copy with other
+    identifiers in another order, that copy with one tuple moved (same
+    relation sizes), or an independent structure."""
+    signature = rng.choice(_ISO_SIGNATURES)
+    n = rng.randint(0, 7)
+    ids = _random_ids(rng, n)
+    rels = {}
+    for name, k in signature.items():
+        if name == "E" and n and rng.random() < 0.3:
+            # a permutation's graph: refinement leaves one colour class
+            perm = ids[:]
+            rng.shuffle(perm)
+            rels[name] = set(zip(ids, perm))
+        else:
+            density = rng.choice([0.1, 0.3, 0.5]) / k if k else 0.5
+            rels[name] = {t for t in itertools.product(ids, repeat=k)
+                          if rng.random() < density}
+    a = Structure(ids, signature, rels)
+    kind = rng.random()
+    if kind < 0.2:
+        other = _random_ids(rng, n)
+        return a, Structure(other, signature, {
+            name: {t for t in itertools.product(other, repeat=k)
+                   if rng.random() < 0.3} for name, k in signature.items()})
+    other = _random_ids(rng, n)
+    f = dict(zip(ids, other))
+    rels = {name: {tuple(f[x] for x in t) for t in ts}
+            for name, ts in rels.items()}
+    name = rng.choice(sorted(signature))
+    if kind < 0.5 and rels[name] and signature[name]:
+        rels[name].discard(rng.choice(sorted(rels[name], key=repr)))
+        rels[name].add(tuple(rng.choice(other)
+                             for _ in range(signature[name])))
+    rng.shuffle(other)
+    return a, Structure(other, signature, rels)
+
+
+def test_iso_matches_reference():
+    rng = random.Random(15)
+    found = missed = 0
+    for _ in range(1500):
+        a, b = _random_pair(rng)
+        assert _refine_colors(a)[0] == _reference_refine(a)
+        got = iso_check(a, b)
+        assert got == _reference_iso(a, b), (a.key(), b.key())
+        if got is None:
+            missed += 1
+        else:
+            found += 1
+    assert found > 500 and missed > 300

@@ -8,9 +8,11 @@ import random
 
 import pytest
 
-from structcode.core import (Digraph, MalformedInputError, PreconditionError,
-                             classify, type_start_index)
+from structcode.core import (Digraph, FinLinOrder, MalformedInputError,
+                             PreconditionError, classify, eval_formula,
+                             type_start_index)
 from structcode.denseq import Dyadic, color
+from structcode.formats import element_from_json, parse_formula
 from structcode.fslin import (FSElement, Shape, apply_first_coord_map,
                               block_of, fs_compare, fs_element, fs_enumerate,
                               fs_member, in_block_any_position,
@@ -290,6 +292,32 @@ class TestShapeFormulas:
     def test_block_formula_levels(self):
         assert classify(in_block_formula("x", 3, 1, "t")) == ("sigma", 3)
         assert classify(in_block_any_position("x", 2, "t")) == ("sigma", 3)
+
+    @pytest.mark.parametrize("tails, gap", [((0, 1), 0), ((0, 3), 2)])
+    def test_same_block_gap(self, tails, gap):
+        # a block of 8 members: its pairs take the finite-gap branch
+        g = edge_graph()
+        block = [element_from_json(g, ["1/8", "1/8", "1/8", "3/8", "3/8", k])
+                 for k in range(8)]
+        s = shape(g, [block[k] for k in tails])
+        assert s.gaps == (gap,)
+        fb = shape_formulas(s)
+        assert classify(fb.sigma) == ("sigma", 4)
+        assert classify(fb.pi) == ("pi", 4)
+        for phi in (fb.sigma, fb.pi):
+            assert parse_formula(str(phi)) == phi
+        # the Pi bundle's gap conjuncts, read on the block alone
+        gap_parts = [p for p in fb.pi.parts if "g0_" in str(p)]
+        assert len(gap_parts) == (1 if gap == 0 else 2)
+        order = FinLinOrder(block)
+        lo, hi = tails
+
+        def holds(x2):
+            env = {"x1": block[lo], "x2": block[x2]}
+            return all(eval_formula(order, p, env) for p in gap_parts)
+
+        assert holds(hi)
+        assert not holds(hi + 1)
 
 
 class TestShift:

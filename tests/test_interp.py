@@ -188,7 +188,7 @@ def _reference_check(carrier, spec, target, max_arity, seed=0,
                             notes)
     quotient = Structure(range(len(classes)), dict(spec.target_signature),
                          quotient_rels)
-    iso = iso_check(quotient, target, max_size=None)
+    iso = iso_check(quotient, target)
     if iso is None:
         failures.append(("quotient-not-isomorphic",
                          (len(classes), len(target.universe))))
