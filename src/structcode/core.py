@@ -6,7 +6,7 @@ fragments of) infinitary first-order formulas, evaluation by compiled
 backtracking joins over relation indexes, a syntactic complexity
 classifier, the one table of a tuple's atomic facts (``atom_places``,
 read by ``fingerprint`` and atomic types of distinct digraph tuples), and
-a backtracking isomorphism search with colour refinement.
+an individualise-and-refine isomorphism search.
 """
 
 from __future__ import annotations
@@ -775,6 +775,21 @@ def tuples_of_type(graph, atype):
 # isomorphism
 
 
+def _refine(table, colors):
+    """Colour refinement of ``colors`` over an incidence table.  Each round's
+    distinct colours are numbered in ``repr`` order, so the ids are
+    invariant under isomorphism; it stops when no class splits."""
+    while True:
+        new = {e: (colors[e], tuple(sorted(
+            (name, pos, tuple(colors[x] for x in t)) for name, pos, t in entries)))
+            for e, entries in table.items()}
+        ids = {c: i for i, c in enumerate(sorted(set(new.values()), key=repr))}
+        flat = {e: ids[c] for e, c in new.items()}
+        if len(ids) == len(set(colors.values())):
+            return flat
+        colors = flat
+
+
 def _refine_colors(s):
     """Colour refinement on a structure.  Returns (colours, table): element
     -> colour id, and element -> its incidence entries (relation, position,
@@ -787,69 +802,49 @@ def _refine_colors(s):
                 table[e].append((name, pos, t))
     places = [(name, pos) for name in sorted(s.signature)
               for pos in range(s.signature[name])]
-    colors = {}
-    for e, entries in table.items():
-        counts = Counter((name, pos) for name, pos, _ in entries)
-        colors[e] = tuple(counts[place] for place in places)
-    while True:
-        new = {}
-        for e, entries in table.items():
-            sig = sorted((name, pos, tuple(colors[x] for x in t))
-                         for name, pos, t in entries)
-            new[e] = (colors[e], tuple(sig))
-        # canonicalize to small ids to keep the tuples from growing
-        ids = {}
-        flat = {e: ids.setdefault(new[e], len(ids)) for e in sorted(
-            s.universe, key=lambda x: (repr(new[x]), repr(x)))}
-        if len(ids) == len(set(colors.values())):
-            return flat, table
-        colors = flat
+    counts = {e: Counter((name, pos) for name, pos, _ in entries)
+              for e, entries in table.items()}
+    colors = {e: tuple(c[place] for place in places) for e, c in counts.items()}
+    return _refine(table, colors), table
 
 
 def iso_check(a, b):
-    """A dict mapping A's universe onto B's that is an isomorphism, or None
-    if the structures are not isomorphic.
+    """A dict mapping A's universe onto B's that is an isomorphism, or None.
 
-    Both are colour-refined.  A's elements are placed in order of colour
-    class size, colour id and ``repr``, each tried on the unused elements of
-    its colour in B in ``repr`` order; a choice stands when every tuple of A
-    it completes maps into B.  The first total map is checked both ways."""
+    Individualise and refine, in one loop over an explicit search path: the
+    pairs on the path get fresh colours on top of both refined colourings,
+    which are refined again, and a node whose class sizes differ is cut.
+    Else the first element of A (by root class size, colour and ``repr``)
+    whose class is not a singleton is tried on B's elements of its colour in
+    ``repr`` order.  Refinement only cuts branches that no isomorphism
+    extends, so the first all-singleton colouring that maps each relation
+    onto B's gives the first isomorphism in that order."""
     if a.signature != b.signature or len(a.universe) != len(b.universe) or \
             any(len(ts) != len(b.relations[n]) for n, ts in a.relations.items()):
         return None
-    ca, table = _refine_colors(a)
-    cb, _ = _refine_colors(b)
+    ca, table_a = _refine_colors(a)
+    cb, table_b = _refine_colors(b)
     sizes = Counter(ca.values())
-    if sizes != Counter(cb.values()):
-        return None
-    images = {}
-    for y in sorted(b.universe, key=repr):
-        images.setdefault(cb[y], []).append(y)
     order = sorted(a.universe,
                    key=lambda x: (sizes[ca[x]], repr(ca[x]), repr(x)))
-    mapping = {}
-    used = set()
-
-    def extend(i):
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in images[ca[x]]:
-            if y in used:
+    last_first = sorted(b.universe, key=repr)[::-1]
+    path = []   # (x, ys): x is paired with ys[-1], the rest are still to try
+    while True:
+        pairs = [(x, ys[-1], -1 - i) for i, (x, ys) in enumerate(path)]
+        sa = _refine(table_a, {**ca, **{x: c for x, _, c in pairs}})
+        sb = _refine(table_b, {**cb, **{y: c for _, y, c in pairs}})
+        sizes = Counter(sa.values())
+        if sizes == Counter(sb.values()):
+            x = next((x for x in order if sizes[sa[x]] > 1), None)
+            if x is not None:
+                path.append((x, [y for y in last_first if sb[y] == sa[x]]))
                 continue
-            mapping[x] = y
+            mapping = dict(zip(sorted(sa, key=sa.get), sorted(sb, key=sb.get)))
             if all(tuple(map(mapping.get, t)) in b.relations[name]
-                   for name, _, t in table[x] if all(v in mapping for v in t)):
-                used.add(y)
-                if extend(i + 1):
-                    return True
-                used.discard(y)
-            del mapping[x]
-        return False
-
-    if not extend(0):
-        return None
-    for name, ts in a.relations.items():
-        if {tuple(map(mapping.get, t)) for t in ts} != b.relations[name]:
+                   for name, ts in a.relations.items() for t in ts):
+                return mapping
+        while path and len(path[-1][1]) == 1:
+            path.pop()
+        if not path:
             return None
-    return mapping
+        path[-1][1].pop()

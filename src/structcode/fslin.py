@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (TRUE, And, Eq, Exists, Forall, MalformedInputError, Not,
+from .core import (And, Eq, Exists, Forall, MalformedInputError, Not,
                    Or, PreconditionError, Rel, atomic_type_of, conj, disj,
                    type_start_index)
 from .denseq import ColorOrderMap, Dyadic, between, color
@@ -256,35 +256,30 @@ def _between(z, a, b):
     return And((_lt(a, z), _lt(z, b)))
 
 
-def _block_core(zs):
-    """zs form a maximal discrete chain (in the listed order)."""
+def _in_block(m, prefix, placement):
+    """Some zs (named from ``prefix``) form a maximal discrete chain of size
+    m, in the listed order, and satisfy the conjuncts ``placement(zs)``."""
+    zs = tuple(f"{prefix}z{j}" for j in range(m))
     p = "_w"
     v = "_v"
-    chain = [_lt(a, b) for a, b in zip(zs, zs[1:])]
-    consec = Forall((p,), conj(
-        [Or((Not(_lt(a, p)), Not(_lt(p, b)))) for a, b in zip(zs, zs[1:])])) \
-        if len(zs) > 1 else TRUE
-    maximal = Forall((p,), And((
+    parts = [_lt(a, b) for a, b in zip(zs, zs[1:])]
+    if len(zs) > 1:
+        parts.append(Forall((p,), conj([Or((Not(_lt(a, p)), Not(_lt(p, b))))
+                                        for a, b in zip(zs, zs[1:])])))
+    parts.append(Forall((p,), And((
         Or((Not(_lt(p, zs[0])), Exists((v,), _between(v, p, zs[0])))),
         Or((Not(_lt(zs[-1], p)), Exists((v,), _between(v, zs[-1], p)))),
-    )))
-    parts = list(chain)
-    if len(zs) > 1:
-        parts.append(consec)
-    parts.append(maximal)
-    return parts
+    ))))
+    return Exists(zs, And(tuple(parts + placement(zs))))
 
 
 def in_block_formula(x, m, k, prefix):
     """x sits at position k of a maximal discrete set of size m (Sigma_3)."""
-    zs = tuple(f"{prefix}z{j}" for j in range(m))
-    return Exists(zs, And(tuple(_block_core(zs) + [Eq(x, zs[k])])))
+    return _in_block(m, prefix, lambda zs: [Eq(x, zs[k])])
 
 
 def in_block_any_position(x, m, prefix):
-    zs = tuple(f"{prefix}z{j}" for j in range(m))
-    body = _block_core(zs) + [disj([Eq(x, z) for z in zs])]
-    return Exists(zs, And(tuple(body)))
+    return _in_block(m, prefix, lambda zs: [disj([Eq(x, z) for z in zs])])
 
 
 def _length_formula(x, n, prefix):
@@ -351,11 +346,8 @@ def shape_formulas(s):
         a, b = xs[i], xs[i + 1]
         if gap is None:
             # the endpoints do not share a maximal discrete set
-            m = s.blocks[i][0]
-            zs = tuple(f"g{i}_z{j}" for j in range(m))
-            together = Exists(zs, And(tuple(
-                _block_core(zs) + [disj([Eq(a, z) for z in zs]),
-                                   disj([Eq(b, z) for z in zs])])))
+            together = _in_block(s.blocks[i][0], f"g{i}_", lambda zs: [
+                disj([Eq(a, z) for z in zs]), disj([Eq(b, z) for z in zs])])
             pi_parts.append(Not(together))
             sigma_add(Not(together))
         else:

@@ -33,6 +33,9 @@ GOLDEN_CASES = {
     "fs_shape.json":
         ["fs", "shape", "--graph", str(DATA / "edge2.graph"),
          '["1/4","1/2","3/4",0]', '["1/4","1/2","3/4",1]'],
+    "fs_shape_formulas.json":
+        ["fs", "shape", "--formulas", "--graph", str(DATA / "edge2.graph"),
+         '["1/4","1/2","3/4",0]', '["1/4","1/2","3/4",1]'],
     "fs_minlen.json":
         ["fs", "minlen", "--graph", str(DATA / "edge2.graph"),
          '["1/4","1/8","3/4",0]', '["1/4","3/8","3/4",0]'],
@@ -45,6 +48,8 @@ GOLDEN_CASES = {
          str(DATA / "chain4.order"), str(DATA / "chain3.order")],
     "interp_int4.json":
         ["interp", "int", "--n", "4"],
+    "interp_marker_cycle3.json":
+        ["interp", "marker", "--graph", str(DATA / "cycle3_isolated.graph")],
     "daisy_encode.json":
         ["daisy", "encode", "--set", "0,2", "--bound", "3"],
     "shuffle_build.json":

@@ -1,7 +1,9 @@
 """Structures, formula evaluation, classification, atomic types, isomorphism."""
 
+import contextlib
 import itertools
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -966,11 +968,73 @@ def _random_pair(rng):
     return a, Structure(other, signature, rels)
 
 
+@contextlib.contextmanager
+def _deadline(seconds=30):
+    """Raise TimeoutError in the body once ``seconds`` have passed, so a
+    search that regresses to a hang fails the suite instead of stalling it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _relabelled(s, rng):
+    """A copy of ``s`` on a shuffle of its identifiers, listed shuffled."""
+    ids = list(s.universe)
+    image = dict(zip(ids, rng.sample(ids, len(ids))))
+    return Structure(rng.sample(ids, len(ids)), s.signature,
+                     {name: {tuple(image[x] for x in t) for t in ts}
+                      for name, ts in s.relations.items()})
+
+
+def _cycles(*lengths):
+    """Disjoint directed cycles of the given lengths on 0, 1, 2, ..."""
+    starts = list(itertools.accumulate(lengths, initial=0))
+    return Digraph(range(starts[-1]), [(s + i, s + (i + 1) % n)
+                                       for s, n in zip(starts, lengths)
+                                       for i in range(n)])
+
+
+def _symmetric_pairs():
+    """Pairs with many automorphisms, on which the search backtracks: the
+    codes of the empty 2- and 3-vertex digraphs and a union of cycles, each
+    against a relabelled copy."""
+    rng = random.Random(16)
+    codes = [marker_encode(Digraph(range(n), [])).graph for n in (2, 3)]
+    return [(s, _relabelled(s, rng)) for s in codes + [_cycles(5, 6, 7)]]
+
+
+def _hard_pairs():
+    """Inputs on which an earlier search hung or overflowed the stack."""
+    code = marker_encode(Digraph(range(4), [])).graph
+    empty = Structure(range(1100), {"P": 1}, {})
+    cycles = _relabelled(_cycles(4, 5, 6, 7), random.Random(1))
+    return [(code, _relabelled(code, random.Random(0))),
+            (empty, _relabelled(empty, random.Random(0))),
+            (cycles, _cycles(7, 6, 5, 4))]
+
+
+@pytest.mark.parametrize("a, b", _hard_pairs(), ids=[
+    "empty-4-vertex-code", "factless-1100", "cycles-4567"])
+def test_iso_returns_on_symmetric_inputs(a, b):
+    with _deadline():
+        f = iso_check(a, b)
+    assert f is not None
+    for name, ts in a.relations.items():
+        assert {tuple(f[x] for x in t) for t in ts} == b.relations[name]
+
+
 def test_iso_matches_reference():
     rng = random.Random(15)
     found = missed = 0
-    for _ in range(1500):
-        a, b = _random_pair(rng)
+    pairs = itertools.chain((_random_pair(rng) for _ in range(1500)),
+                            _symmetric_pairs())
+    for a, b in pairs:
         assert _refine_colors(a)[0] == _reference_refine(a)
         got = iso_check(a, b)
         assert got == _reference_iso(a, b), (a.key(), b.key())
