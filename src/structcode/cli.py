@@ -40,12 +40,18 @@ class UsageError(Exception):
     pass
 
 
-def _parse_file(path, parse):
+def _parse(where, parse, text):
     try:
-        return parse(_read(path))
+        return parse(text)
     except MalformedInputError as exc:
-        # unparsable input files are usage errors, not precondition failures
-        raise UsageError(f"{path}: {exc}")
+        # unparsable input is a usage error, not a precondition failure
+        raise UsageError(f"{where}: {exc}")
+    except RecursionError:
+        raise UsageError(f"{where}: nested too deeply to read")
+
+
+def _parse_file(path, parse):
+    return _parse(path, parse, _read(path))
 
 
 def load_graph(path, cls=Digraph):
@@ -80,7 +86,7 @@ def _graph_payload(g):
 def _json_arg(raw, what):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"bad {what} JSON: {exc}")
 
 
@@ -143,21 +149,17 @@ def cmd_marker(args):
     if args.action == "decode":
         g = marker_decode(load_graph(args.file, UGraph))
         return 0, _graph_payload(g)
-    # stream-decode: facts in, decoded facts out as they stabilize
+    # stream-decode: each stdin line is read as graph-file lines and its
+    # facts fed in; decoded facts go out as they stabilize
     dec = MarkerStreamDecoder()
-    for raw in sys.stdin:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "v" and len(parts) == 2:
-            fact = ("v", formats._ident(parts[1]))
-        elif parts[0] == "e" and len(parts) == 3:
-            fact = ("e", formats._ident(parts[1]), formats._ident(parts[2]))
-        else:
-            raise UsageError(f"bad fact line: {line!r}")
-        for out in dec.feed(fact):
-            print(" ".join(str(x) for x in out), flush=True)
+    for n, raw in enumerate(sys.stdin, start=1):
+        vertices, edges, order = _parse(f"stdin line {n}",
+                                        formats.parse_struct_text, raw)
+        if order is not None:
+            raise UsageError(f"stdin line {n}: o records are not facts")
+        for fact in [("v", v) for v in vertices] + [("e", *e) for e in edges]:
+            for out in dec.feed(fact):
+                print(" ".join(str(x) for x in out), flush=True)
     return 0, None
 
 
@@ -472,7 +474,9 @@ def main(argv=None):
         # an input file or stdin that is not UTF-8 is malformed input
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except StructError as exc:
+    except (StructError, RecursionError) as exc:
+        # a formula nested past Python's recursion limit cannot be compiled,
+        # evaluated or printed: a precondition failure on valid input
         print(json.dumps({"error": str(exc)}))
         return 3
     if payload is not None:

@@ -7,15 +7,21 @@ that look like integers are read as integers.
 
 Formulas are s-expressions: ``(exists (y) (E x y))``, with heads
 ``and or bigand bigor not exists forall =`` and any other head read as a
-relation symbol.
+relation symbol.  A token is a parenthesis or a maximal run of other
+non-whitespace characters.  The reader keeps open lists on a stack and
+reads any nesting depth; ``sexpr_to_formula`` recurses, so a formula
+nested past Python's recursion limit raises ``RecursionError``.
 """
 
 from __future__ import annotations
+
+import re
 
 from .core import (And, BigAnd, BigOr, Eq, Exists, Forall, Formula,
                    MalformedInputError, Not, Or, PreconditionError, Rel)
 from .denseq import Dyadic
 from .fslin import fs_element
+from .interp import InterpretationSpec
 
 
 def _ident(tok):
@@ -63,53 +69,25 @@ def struct_to_text(vertices, edges, order=None):
 # s-expressions
 
 
-def _tokenize(text):
-    out = []
-    cur = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                out.append("".join(cur))
-                cur = []
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
-
-
-def _read(tokens, pos):
-    if pos >= len(tokens):
-        raise MalformedInputError("unexpected end of s-expression")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise MalformedInputError("unbalanced parenthesis")
-        return items, pos + 1
-    if tok == ")":
-        raise MalformedInputError("unexpected ')'")
-    return tok, pos + 1
+_TOKEN = re.compile(r"[()]|[^()\s]+")
 
 
 def parse_sexprs(text):
-    """All top-level s-expressions in a text."""
-    tokens = _tokenize(text)
-    out = []
-    pos = 0
-    while pos < len(tokens):
-        item, pos = _read(tokens, pos)
-        out.append(item)
-    return out
+    """All top-level s-expressions in a text, as nested lists of atoms."""
+    stack = [[]]
+    for tok in _TOKEN.findall(text):
+        if tok == "(":
+            stack.append([])
+        elif tok != ")":
+            stack[-1].append(tok)
+        elif len(stack) > 1:
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            raise MalformedInputError("unexpected ')'")
+    if len(stack) > 1:
+        raise MalformedInputError("unbalanced parenthesis")
+    return stack[0]
 
 
 def sexpr_to_formula(node):
@@ -166,7 +144,6 @@ def parse_interp_spec(text):
     ``(sim-neg N1 N2 FORMULA)``, ``(rel-pos NAME N1 .. Nk FORMULA)``,
     ``(rel-neg ...)``, ``(target NAME ARITY)``.
     """
-    from .interp import InterpretationSpec
     domain, sim_pos, sim_neg = {}, {}, {}
     rel_pos, rel_neg, target_sig = {}, {}, {}
 

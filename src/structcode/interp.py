@@ -60,14 +60,17 @@ class InterpReport:
     notes: list = field(default_factory=list)
 
 
-def check_interpretation(carrier, spec, target, max_arity, seed=0,
-                         congruence_samples=200):
+# seeded substitutions per relation on top of the per-representative ones
+CONGRUENCE_SAMPLES = 200
+
+
+def check_interpretation(carrier, spec, target, max_arity, seed=0):
     """Verify an interpretation and compare its quotient with the target.
 
     Domain extraction, ~-equivalence and ~-complementarity are exhaustive.
     Relation complementarity and congruence are checked on every tuple of
-    class representatives plus a seeded sample of substitutions by
-    equivalent elements; failures carry a concrete witness.
+    class representatives plus ``CONGRUENCE_SAMPLES`` seeded substitutions
+    by equivalent elements; failures carry a concrete witness.
     """
     if max_arity < 1:
         raise PreconditionError("max_arity must be at least 1")
@@ -153,7 +156,7 @@ def check_interpretation(carrier, spec, target, max_arity, seed=0,
             if alts != args and holds(fam_pos, alts, False) != p:
                 failures.append((f"{name}-not-congruent", (args, alts)))
         quotient_rels[name] = table
-        for _ in range(congruence_samples if classes else 0):
+        for _ in range(CONGRUENCE_SAMPLES if classes else 0):
             combo = tuple(rng.randrange(len(classes)) for _ in range(k))
             a = tuple(classes[c][rng.randrange(len(classes[c]))] for c in combo)
             b = tuple(classes[c][rng.randrange(len(classes[c]))] for c in combo)

@@ -218,6 +218,13 @@ class TestDistinguishingMove:
         g = Digraph([0, 1], [(0, 1)])
         assert distinguishing_move(g, (0,), g, (0,), 2) is None
 
+    def test_atomic_mismatch(self):
+        # E(0, 1) holds on a path and E(0, 2) does not: no move is needed
+        g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
+        assert distinguishing_move(g, (0, 1), g, (0, 2), 1) == \
+            ("atomic", ((0, 1), (("E", (False, True, False, False)),)),
+             ((0, 1), (("E", (False, False, False, False)),)))
+
     def test_move_is_sound(self):
         g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
         res = distinguishing_move(g, (0,), g, (2,), 1)
@@ -336,6 +343,8 @@ class TestCertificates:
         z = fs_element(g, [D(3, 2), 0])
         cert = lg_certify(g, (x, y0), (x, z), 1)
         assert cert.verdict == "Distinguished"
+        # level 0 does not consult gaps, and the shapes differ
+        assert lg_certify(g, (x, y0), (x, z), 0) == Certificate("Unknown")
 
     def test_concat_rule(self):
         g = self.edge_graph()

@@ -57,6 +57,12 @@ GOLDEN_CASES = {
          "--resolution", "4"],
 }
 
+# specs nested past Python's recursion limit: 5,000 nested nots do not
+# convert to a formula, 400 nested existentials convert but do not compile
+DEEP_NOT = "(domain 1 " + "(not " * 5000 + "(E x1 x1)" + ")" * 5000 + ")\n"
+DEEP_EXISTS = "(domain 1 " + "(exists (y) " * 400 + "(E x1 x1)" + \
+    ")" * 400 + ")\n"
+
 
 def _stdin(data):
     """A strict UTF-8 text stream over the given bytes, like ``sys.stdin``."""
@@ -66,7 +72,12 @@ def _stdin(data):
 def run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except RecursionError:
+            # reported without its frames, whose formulas are too deep to
+            # render
+            pytest.fail("RecursionError escaped main", pytrace=False)
     return code, out.getvalue()
 
 
@@ -232,6 +243,8 @@ class TestExitCodes:
         # a coordinate that is not dyadic, and an element that is not a list
         ("compare", ['["1/3",0]', '["1/2",0]'], 2),
         ("mentions", ["5"], 2),
+        # JSON nested past Python's recursion limit does not parse
+        ("compare", ["[" * 100_000 + "]" * 100_000, '["1/2",0]'], 2),
         # a well-formed element outside the order is a precondition failure
         ("mentions", ['["1/2",7]'], 3),
         # member answers every element argument that is JSON
@@ -254,10 +267,35 @@ class TestExitCodes:
         assert code == 3
         assert "self-loop at 0" in json.loads(out)["error"]
 
-    def test_unparsable_fact_line_is_two(self, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("v 1\nx 1 2\n"))
+    @pytest.mark.parametrize("text", ["v 1\nx 1 2\n", "v 1\ne 1\n",
+                                      "v 1\no 1\n"])
+    def test_unparsable_fact_line_is_two(self, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, _ = run(["marker", "stream-decode"])
         assert code == 2
+
+    def test_spec_too_deep_to_read_is_two(self, tmp_path, capsys):
+        spec = tmp_path / "deep.spec"
+        spec.write_text(DEEP_NOT)
+        path3 = str(DATA / "path3.graph")
+        code, out = run(["interp", "check", "--carrier", path3, "--spec",
+                         str(spec), "--target", path3, "--max-arity", "1"])
+        assert (code, out) == (2, "")
+        assert "nested too deeply" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["interp", "check", "--carrier", "PATH3", "--spec", "SPEC",
+         "--target", "PATH3", "--max-arity", "1"],
+        ["bnf", "pair", "--gamma", "100", "--length", "0", "--bound", "1",
+         "PATH3"]])
+    def test_formula_too_deep_to_compile_or_print_is_three(self, tmp_path,
+                                                           argv):
+        spec = tmp_path / "deep.spec"
+        spec.write_text(DEEP_EXISTS)
+        files = {"PATH3": str(DATA / "path3.graph"), "SPEC": str(spec)}
+        code, out = run([files.get(a, a) for a in argv])
+        assert code == 3
+        assert "recursion" in json.loads(out)["error"]
 
     # a triangle on the identifiers 0, a and 1
     MIXED = "v 0\nv a\nv 1\ne 0 a\ne a 1\ne 1 0\n"
@@ -423,7 +461,8 @@ _ORDER = st.lists(st.sampled_from("0123ab"), max_size=4, unique=True).map(
 _OTHER = st.sampled_from(
     ["(domain 1 (E x1 x1))\n(target E 2)\n", "(domain 1 (and))\n",
      "(rel-pos E 1 1 (E x1 y1))\n", "(domain 1 (E x1 x1)\n",
-     "e 0\n", "z 1\n", "v 1 # c\n", '{"labels": [0]}', "[1]"])
+     "e 0\n", "z 1\n", "v 1 # c\n", '{"labels": [0]}', "[1]", DEEP_NOT,
+     DEEP_EXISTS])
 _CONTENTS = st.one_of(st.binary(max_size=24),
                       st.one_of(_GRAPH, _ORDER, _OTHER, st.text(max_size=24))
                       .map(str.encode))
@@ -479,6 +518,8 @@ def test_fuzz_exit_codes(argv, file1, file2, stdin):
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
+            except RecursionError:
+                code = "RecursionError"
     assert code in (0, 1, 2, 3), (argv, code)
 
 
@@ -497,6 +538,37 @@ class TestPayloads:
         code, out = run(["marker", "stream-decode"])
         assert code == 0
         assert out == "v 0\nv 4\ne 0 4\n"
+
+    def test_stream_decode_splits_lines_as_graph_files_do(self, monkeypatch):
+        # form feed, NEL and line separator end a record inside one line
+        payload = json.loads(run(["marker", "encode",
+                                  str(DATA / "edge2.graph")])[1])
+        seps = "\x0c\x85\u2028"
+        vertices = "".join(f"v {v}{seps[i % 3]}"
+                           for i, v in enumerate(payload["vertices"]))
+        edges = [f"e {u} {v}" for u, v in payload["edges"]]
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO("\n".join([vertices] + edges)))
+        code, out = run(["marker", "stream-decode"])
+        assert code == 0
+        assert out == "v 0\nv 4\ne 0 4\n"
+
+    def test_bnf_equiv_atomic_witness(self):
+        path3 = str(DATA / "path3.graph")
+        code, out = run(["bnf", "equiv", "--gamma", "1", "--tuple-a", "0,1",
+                         "--tuple-b", "0,2", path3, path3])
+        assert code == 1
+        assert json.loads(out)["witness"] == \
+            ["atomic", [[0, 1], [["E", [False, True, False, False]]]],
+             [[0, 1], [["E", [False, False, False, False]]]]]
+
+    def test_fs_certify_unknown(self):
+        x, y0, z = '["1/4","1/2","3/4",0]', '["1/4","1/2","3/4",1]', '["3/4",0]'
+        code, out = run(["fs", "certify", "--graph", str(DATA / "edge2.graph"),
+                         "--gamma", "0", "--tuple-a", f"[{x},{y0}]",
+                         "--tuple-b", f"[{x},{z}]"])
+        assert (code, json.loads(out)) == (0, {"evidence": [],
+                                               "verdict": "Unknown"})
 
     def test_marker_encode_tags(self):
         code, out = run(["marker", "encode", "--tags",

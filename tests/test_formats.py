@@ -1,6 +1,8 @@
 """Text and JSON formats: graph files, s-expression formulas, spec bundles."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from structcode.core import (And, BigOr, Digraph, Eq, Exists, Forall,
                              MalformedInputError, Not, Or, Rel)
@@ -67,6 +69,97 @@ class TestFormulas:
     def test_parse_sexprs_multiple(self):
         assert parse_sexprs("(a) (b c)") == [["a"], ["b", "c"]]
         assert sexpr_to_formula(["and"]) == And(())
+
+
+# ---------------------------------------------------------------------------
+# the s-expression reader against the character tokenizer and recursive
+# reader it replaced
+
+
+def _reference_tokenize(text):
+    out = []
+    cur = []
+    for ch in text:
+        if ch in "()":
+            if cur:
+                out.append("".join(cur))
+                cur = []
+            out.append(ch)
+        elif ch.isspace():
+            if cur:
+                out.append("".join(cur))
+                cur = []
+        else:
+            cur.append(ch)
+    if cur:
+        out.append("".join(cur))
+    return out
+
+
+def _reference_read(tokens, pos):
+    if pos >= len(tokens):
+        raise MalformedInputError("unexpected end of s-expression")
+    tok = tokens[pos]
+    if tok == "(":
+        items = []
+        pos += 1
+        while pos < len(tokens) and tokens[pos] != ")":
+            item, pos = _reference_read(tokens, pos)
+            items.append(item)
+        if pos >= len(tokens):
+            raise MalformedInputError("unbalanced parenthesis")
+        return items, pos + 1
+    if tok == ")":
+        raise MalformedInputError("unexpected ')'")
+    return tok, pos + 1
+
+
+def _reference_parse_sexprs(text):
+    tokens = _reference_tokenize(text)
+    out = []
+    pos = 0
+    while pos < len(tokens):
+        item, pos = _reference_read(tokens, pos)
+        out.append(item)
+    return out
+
+
+def _outcome(read, text):
+    try:
+        return "read", read(text)
+    except MalformedInputError as exc:
+        return "error", str(exc)
+
+
+# parentheses, atoms and whitespace, with the separators outside ASCII
+# (NEL, ideographic space, file separator) that str.isspace also splits on
+_SEXPR_TEXT = st.text(
+    st.one_of(st.sampled_from("(()) ab1-\n\t\x85\u3000\x1c\x0c\u2028\xa0"),
+              st.characters()), max_size=40)
+
+
+class TestSexprReader:
+    @settings(max_examples=500, deadline=None)
+    @given(_SEXPR_TEXT)
+    @example("(a\x85b\u3000c\x1cd)")
+    def test_matches_reference(self, text):
+        assert _outcome(parse_sexprs, text) == \
+            _outcome(_reference_parse_sexprs, text)
+
+    def test_messages(self):
+        with pytest.raises(MalformedInputError, match="unexpected '\\)'"):
+            parse_sexprs("(a)) (b)")
+        with pytest.raises(MalformedInputError, match="unbalanced parenthesis"):
+            parse_sexprs("(a (b)")
+        with pytest.raises(MalformedInputError, match="empty s-expression"):
+            parse_formula("()")
+
+    def test_reads_deep_text(self):
+        depth = 100_000
+        (node,) = parse_sexprs("(" * depth + "x" + ")" * depth)
+        for _ in range(depth - 1):
+            (node,) = node
+        assert node == ["x"]
 
 
 class TestInterpSpec:
