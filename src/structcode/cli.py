@@ -18,8 +18,7 @@ from .backforth import (distinguishing_move, interval_equiv,
 from .codings import (OMEGA, daisy_decode, daisy_encode, shuffle_build,
                       shuffle_decode, Block, ShuffleFragment)
 from .core import (Digraph, FinLinOrder, LoopedDigraph, MalformedInputError,
-                   PreconditionError, StructError, UGraph, classify,
-                   ident_key)
+                   StructError, UGraph, classify, ident_key)
 from .fslin import (block_of, fs_compare, fs_element, fs_enumerate, mentions,
                     min_length_in_interval, shape, shape_formulas, shift_tuple)
 from .interp import builtin_int_in_nat, check_interpretation, marker_interp, trivial_interp
@@ -46,8 +45,6 @@ def _parse(where, parse, text):
     except MalformedInputError as exc:
         # unparsable input is a usage error, not a precondition failure
         raise UsageError(f"{where}: {exc}")
-    except RecursionError:
-        raise UsageError(f"{where}: nested too deeply to read")
 
 
 def _parse_file(path, parse):
@@ -110,15 +107,8 @@ def _tuple_arg(g, raw):
     return tuple(_element(g, d) for d in data)
 
 
-def _vertex_tuple(struct, ids):
-    out = []
-    toks = [t for t in (ids or "").split(",") if t != ""]
-    for tok in toks:
-        v = formats._ident(tok)
-        if v not in struct.universe_set:
-            raise PreconditionError(f"tuple entry {tok} is not in the structure")
-        out.append(v)
-    return tuple(out)
+def _vertex_tuple(ids):
+    return tuple(formats._ident(t) for t in ids.split(",") if t != "")
 
 
 def _shape_payload(s):
@@ -129,9 +119,9 @@ def _shape_payload(s):
             "min_half": list(s.min_half)}
 
 
-def _level(phi):
+def _formula_payload(phi):
     kind, lvl = classify(phi)
-    return f"{kind} {lvl}"
+    return {"formula": formats.formula_to_sexpr(phi), "level": f"{kind} {lvl}"}
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +179,8 @@ def cmd_fs(args):
         payload = _shape_payload(s)
         if args.formulas:
             fs = shape_formulas(s)
-            payload["sigma"] = {"formula": formats.formula_to_sexpr(fs.sigma),
-                                "level": _level(fs.sigma)}
-            payload["pi"] = {"formula": formats.formula_to_sexpr(fs.pi),
-                             "level": _level(fs.pi)}
+            payload["sigma"] = _formula_payload(fs.sigma)
+            payload["pi"] = _formula_payload(fs.pi)
         return 0, payload
     if args.action == "enumerate":
         elems = fs_enumerate(g, args.half_len, args.max_exp)
@@ -204,63 +192,55 @@ def cmd_fs(args):
         return 0, {"elements": [formats.element_to_json(e) for e in res.elements],
                    "separator": formats.element_to_json(res.separator),
                    "map": {str(k): str(v) for k, v in res.map.seeds.items()}}
-    if args.action == "certify":
-        t1 = _tuple_arg(g, args.tuple_a)
-        t2 = _tuple_arg(g, args.tuple_b)
-        if args.tuple_a2 or args.tuple_b2:
-            if not (args.tuple_a2 and args.tuple_b2):
-                raise UsageError("--tuple-a2 and --tuple-b2 go together")
-            cert = lg_concat_certify(
-                g, (t1, _tuple_arg(g, args.tuple_a2)),
-                (t2, _tuple_arg(g, args.tuple_b2)), args.gamma)
-        else:
-            cert = lg_certify(g, t1, t2, args.gamma)
-        code = 1 if cert.verdict == "Distinguished" else 0
-        return code, {"verdict": cert.verdict,
-                      "evidence": json.loads(json.dumps(cert.evidence, default=str))}
-    raise UsageError(f"unknown fs action {args.action!r}")
+    t1 = _tuple_arg(g, args.tuple_a)
+    t2 = _tuple_arg(g, args.tuple_b)
+    if args.tuple_a2 or args.tuple_b2:
+        if not (args.tuple_a2 and args.tuple_b2):
+            raise UsageError("--tuple-a2 and --tuple-b2 go together")
+        cert = lg_concat_certify(
+            g, (t1, _tuple_arg(g, args.tuple_a2)),
+            (t2, _tuple_arg(g, args.tuple_b2)), args.gamma)
+    else:
+        cert = lg_certify(g, t1, t2, args.gamma)
+    code = 1 if cert.verdict == "Distinguished" else 0
+    return code, {"verdict": cert.verdict,
+                  "evidence": json.loads(json.dumps(cert.evidence, default=str))}
 
 
 def cmd_bnf(args):
     if args.action == "equiv":
         a, b = load_struct(args.files[0]), load_struct(args.files[1])
-        ta, tb = _vertex_tuple(a, args.tuple_a), _vertex_tuple(b, args.tuple_b)
+        ta, tb = _vertex_tuple(args.tuple_a), _vertex_tuple(args.tuple_b)
         witness = distinguishing_move(a, ta, b, tb, args.gamma, args.bound)
         payload = {"equivalent": witness is None, "gamma": args.gamma}
         if witness is not None:
             payload["witness"] = json.loads(json.dumps(witness, default=str))
         return (0 if witness is None else 1), payload
     if args.action == "formula":
-        a = load_struct(args.files[0])
-        tup = _vertex_tuple(a, args.tuple_a)
-        phi = phi_tuple(a, tup, args.gamma, args.bound)
-        return 0, {"formula": formats.formula_to_sexpr(phi),
-                   "level": _level(phi)}
+        phi = phi_tuple(load_struct(args.files[0]),
+                        _vertex_tuple(args.tuple_a), args.gamma, args.bound)
+        return 0, _formula_payload(phi)
     if args.action == "pair":
         a = load_struct(args.files[0])
         bound = len(a.universe) if args.bound is None else args.bound
         phi = phi_pair(a.signature, args.length, args.gamma, bound)
-        return 0, {"formula": formats.formula_to_sexpr(phi),
-                   "level": _level(phi)}
-    if args.action == "intervals":
-        a, b = load_struct(args.files[0]), load_struct(args.files[1])
-        if not isinstance(a, FinLinOrder) or not isinstance(b, FinLinOrder):
-            raise PreconditionError("intervals needs two order files")
-        ta, tb = _vertex_tuple(a, args.tuple_a), _vertex_tuple(b, args.tuple_b)
-        verdict, per = interval_equiv(a, ta, b, tb, args.gamma)
-        return (0 if verdict else 1), {"equivalent": verdict,
-                                       "intervals": per}
-    raise UsageError(f"unknown bnf action {args.action!r}")
+        return 0, _formula_payload(phi)
+    a, b = load_struct(args.files[0]), load_struct(args.files[1])
+    ta, tb = _vertex_tuple(args.tuple_a), _vertex_tuple(args.tuple_b)
+    verdict, per = interval_equiv(a, ta, b, tb, args.gamma)
+    return (0 if verdict else 1), {"equivalent": verdict, "intervals": per}
 
 
-def _report_payload(rep):
-    return {"passed": rep.passed,
-            "classes": rep.class_count,
-            "domain_size": rep.domain_size,
-            "failures": json.loads(json.dumps(rep.failures, default=str)),
-            "iso": None if rep.iso is None
-            else {str(k): str(v) for k, v in rep.iso.items()},
-            "notes": rep.notes}
+def _report(rep):
+    """(exit code, payload) for an interpretation report."""
+    return (0 if rep.passed else 1), {
+        "passed": rep.passed,
+        "classes": rep.class_count,
+        "domain_size": rep.domain_size,
+        "failures": json.loads(json.dumps(rep.failures, default=str)),
+        "iso": None if rep.iso is None
+        else {str(k): str(v) for k, v in rep.iso.items()},
+        "notes": rep.notes}
 
 
 def cmd_interp(args):
@@ -268,24 +248,19 @@ def cmd_interp(args):
         carrier = load_struct(args.carrier)
         target = load_struct(args.target)
         spec = _parse_file(args.spec, formats.parse_interp_spec)
-        rep = check_interpretation(carrier, spec, target, args.max_arity,
-                                   seed=args.seed)
-        return (0 if rep.passed else 1), _report_payload(rep)
+        return _report(check_interpretation(carrier, spec, target,
+                                            args.max_arity, seed=args.seed))
     if args.action == "int":
         carrier, spec, target = builtin_int_in_nat(args.n)
-        rep = check_interpretation(carrier, spec, target, 2, seed=args.seed)
-        return (0 if rep.passed else 1), _report_payload(rep)
+        return _report(check_interpretation(carrier, spec, target, 2,
+                                            seed=args.seed))
     if args.action == "trivial":
         target = load_struct(args.target)
         carrier = load_struct(args.carrier)
-        _, rep = trivial_interp(target, carrier)
-        return (0 if rep.passed else 1), _report_payload(rep)
-    if args.action == "marker":
-        g = load_graph(args.graph)
-        carrier, spec, target = marker_interp(g)
-        rep = check_interpretation(carrier, spec, target, 1, seed=args.seed)
-        return (0 if rep.passed else 1), _report_payload(rep)
-    raise UsageError(f"unknown interp action {args.action!r}")
+        return _report(trivial_interp(target, carrier)[1])
+    carrier, spec, target = marker_interp(load_graph(args.graph))
+    return _report(check_interpretation(carrier, spec, target, 1,
+                                        seed=args.seed))
 
 
 def _parse_set(raw):
@@ -340,8 +315,9 @@ def _fragment_from_text(text):
         return ShuffleFragment(labels, omega, typed(data["resolution"], int),
                                typed(data["offset"], int), blocks,
                                typed(data.get("marked", True), bool))
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers bad JSON and malformed dyadic points
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and malformed dyadic points,
+        # RecursionError JSON nested past Python's recursion limit
         raise MalformedInputError(f"bad fragment: {exc}")
 
 
@@ -366,6 +342,10 @@ def build_parser():
     p.add_argument("--pretty", action="store_true",
                    help="indent the JSON payload")
     sub = p.add_subparsers(dest="command", required=True)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True)
+    gamma = argparse.ArgumentParser(add_help=False)
+    gamma.add_argument("--gamma", type=int, required=True)
 
     m = sub.add_parser("marker", help="digraph-in-graph coding")
     ms = m.add_subparsers(dest="action", required=True)
@@ -380,25 +360,19 @@ def build_parser():
     fsub = f.add_subparsers(dest="action", required=True)
     for name, nargs in (("member", 1), ("compare", 2), ("mentions", 1),
                         ("block", 1), ("minlen", 2)):
-        sp = fsub.add_parser(name)
-        sp.add_argument("--graph", required=True)
-        sp.add_argument("elems", nargs=nargs, metavar="ELEM")
-    sp = fsub.add_parser("shape")
-    sp.add_argument("--graph", required=True)
+        fsub.add_parser(name, parents=[graph]).add_argument(
+            "elems", nargs=nargs, metavar="ELEM")
+    sp = fsub.add_parser("shape", parents=[graph])
     sp.add_argument("--formulas", action="store_true")
     sp.add_argument("elems", nargs="+", metavar="ELEM")
-    sp = fsub.add_parser("enumerate")
-    sp.add_argument("--graph", required=True)
+    sp = fsub.add_parser("enumerate", parents=[graph])
     sp.add_argument("--half-len", type=int, default=1)
     sp.add_argument("--max-exp", type=int, default=3)
-    sp = fsub.add_parser("shift")
-    sp.add_argument("--graph", required=True)
+    sp = fsub.add_parser("shift", parents=[graph])
     sp.add_argument("--past", required=True, metavar="ELEM")
     sp.add_argument("--side", choices=("left", "right"), default="right")
     sp.add_argument("elems", nargs="+", metavar="ELEM")
-    sp = fsub.add_parser("certify")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--gamma", type=int, required=True)
+    sp = fsub.add_parser("certify", parents=[graph, gamma])
     sp.add_argument("--tuple-a", required=True)
     sp.add_argument("--tuple-b", required=True)
     sp.add_argument("--tuple-a2")
@@ -406,24 +380,20 @@ def build_parser():
 
     b = sub.add_parser("bnf", help="back-and-forth games and formulas")
     bs = b.add_subparsers(dest="action", required=True)
-    sp = bs.add_parser("equiv")
-    sp.add_argument("--gamma", type=int, required=True)
+    sp = bs.add_parser("equiv", parents=[gamma])
     sp.add_argument("--bound", type=int)
     sp.add_argument("--tuple-a", default="", help="comma-separated vertex ids")
     sp.add_argument("--tuple-b", default="")
     sp.add_argument("files", nargs=2, metavar="STRUCT")
-    sp = bs.add_parser("formula")
-    sp.add_argument("--gamma", type=int, required=True)
+    sp = bs.add_parser("formula", parents=[gamma])
     sp.add_argument("--bound", type=int)
     sp.add_argument("--tuple-a", default="", help="comma-separated vertex ids")
     sp.add_argument("files", nargs=1, metavar="STRUCT")
-    sp = bs.add_parser("pair")
-    sp.add_argument("--gamma", type=int, required=True)
+    sp = bs.add_parser("pair", parents=[gamma])
     sp.add_argument("--length", type=int, required=True)
     sp.add_argument("--bound", type=int)
     sp.add_argument("files", nargs=1, metavar="STRUCT")
-    sp = bs.add_parser("intervals")
-    sp.add_argument("--gamma", type=int, required=True)
+    sp = bs.add_parser("intervals", parents=[gamma])
     sp.add_argument("--tuple-a", default="")
     sp.add_argument("--tuple-b", default="")
     sp.add_argument("files", nargs=2, metavar="ORDER")
@@ -440,8 +410,7 @@ def build_parser():
     sp = isub.add_parser("trivial")
     sp.add_argument("--target", required=True)
     sp.add_argument("--carrier", required=True)
-    sp = isub.add_parser("marker")
-    sp.add_argument("--graph", required=True)
+    isub.add_parser("marker", parents=[graph])
 
     d = sub.add_parser("daisy", help="set-in-graph coding")
     ds = d.add_subparsers(dest="action", required=True)

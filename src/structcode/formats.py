@@ -10,7 +10,7 @@ Formulas are s-expressions: ``(exists (y) (E x y))``, with heads
 relation symbol.  A token is a parenthesis or a maximal run of other
 non-whitespace characters.  The reader keeps open lists on a stack and
 reads any nesting depth; ``sexpr_to_formula`` recurses, so a formula
-nested past Python's recursion limit raises ``RecursionError``.
+nested past Python's recursion limit raises ``MalformedInputError``.
 """
 
 from __future__ import annotations
@@ -91,6 +91,13 @@ def parse_sexprs(text):
 
 
 def sexpr_to_formula(node):
+    try:
+        return _formula(node)
+    except RecursionError:
+        raise MalformedInputError("formula nested too deeply to read")
+
+
+def _formula(node):
     if isinstance(node, str):
         raise MalformedInputError(f"bare atom {node!r} is not a formula")
     if not node:
@@ -100,17 +107,17 @@ def sexpr_to_formula(node):
         raise MalformedInputError("formula head must be a symbol")
     if head in ("and", "or", "bigand", "bigor"):
         ctor = {"and": And, "or": Or, "bigand": BigAnd, "bigor": BigOr}[head]
-        return ctor(tuple(sexpr_to_formula(r) for r in rest))
+        return ctor(tuple(_formula(r) for r in rest))
     if head == "not":
         if len(rest) != 1:
             raise MalformedInputError("not takes one argument")
-        return Not(sexpr_to_formula(rest[0]))
+        return Not(_formula(rest[0]))
     if head in ("exists", "forall"):
         if len(rest) != 2 or not isinstance(rest[0], list) or \
                 not all(isinstance(v, str) for v in rest[0]):
             raise MalformedInputError(f"{head} takes a variable list and a body")
         ctor = Exists if head == "exists" else Forall
-        return ctor(tuple(rest[0]), sexpr_to_formula(rest[1]))
+        return ctor(tuple(rest[0]), _formula(rest[1]))
     if head == "=":
         if len(rest) != 2 or not all(isinstance(r, str) for r in rest):
             raise MalformedInputError("= takes two terms")

@@ -282,19 +282,11 @@ def in_block_any_position(x, m, prefix):
     return _in_block(m, prefix, lambda zs: [disj([Eq(x, z) for z in zs])])
 
 
-def _length_formula(x, n, prefix):
-    """x has length 2n+2: its block size is the index of a length-n type."""
-    lo, hi = type_start_index(n), type_start_index(n + 1)
-    return disj([in_block_any_position(x, m, f"{prefix}m{m}_")
-                 for m in range(lo, hi)])
-
-
-def _short_formula(z, k, prefix):
-    """z has length below 2k+2."""
-    if k == 0:
-        return Or(())
-    return disj([in_block_any_position(z, m, f"{prefix}s{m}_")
-                 for m in range(1, type_start_index(k))])
+def _half_length_in(x, lo, hi, prefix):
+    """x has half length at least lo and below hi: its block size is the
+    index of a type of that many vertices."""
+    return disj([in_block_any_position(x, m, f"{prefix}{m}_")
+                 for m in range(type_start_index(lo), type_start_index(hi))])
 
 
 def _pad_pi3():
@@ -318,71 +310,49 @@ def shape_formulas(s):
     front; the Pi bundle is the plain conjunction, which mixes both sides at
     level three and therefore reports on the Pi side at level four.
     """
-    n = len(s.blocks)
-    xs = [f"x{i + 1}" for i in range(n)]
-    sigma_parts = []        # (pulled vars, matrix) pairs
-    pi_parts = []
-
-    def sigma_add(phi):
-        if isinstance(phi, Exists):
-            sigma_parts.append((phi.vars, phi.body))
-        else:
-            sigma_parts.append(((), phi))
-
-    for a, b in zip(xs, xs[1:]):
-        pi_parts.append(_lt(a, b))
-        sigma_add(_lt(a, b))
-
-    for i, (mk, nlen) in enumerate(zip(s.blocks, s.half_lengths)):
-        m, k = mk
-        blk = in_block_formula(xs[i], m, k, f"b{i}_")
-        pi_parts.append(blk)
-        sigma_add(blk)
-        ln = _length_formula(xs[i], nlen, f"l{i}_")
-        pi_parts.append(ln)
-        sigma_add(ln)
-
+    xs = [f"x{i + 1}" for i in range(len(s.blocks))]
+    # components of both bundles; where they differ, a (Sigma component,
+    # Pi components) pair
+    parts = [_lt(a, b) for a, b in zip(xs, xs[1:])]
+    for i, ((m, k), nlen) in enumerate(zip(s.blocks, s.half_lengths)):
+        parts.append(in_block_formula(xs[i], m, k, f"b{i}_"))
+        parts.append(_half_length_in(xs[i], nlen, nlen + 1, f"l{i}_m"))
     for i, (gap, kmin) in enumerate(zip(s.gaps, s.min_half)):
         a, b = xs[i], xs[i + 1]
+        w = f"g{i}_w"
         if gap is None:
             # the endpoints do not share a maximal discrete set
-            together = _in_block(s.blocks[i][0], f"g{i}_", lambda zs: [
-                disj([Eq(a, z) for z in zs]), disj([Eq(b, z) for z in zs])])
-            pi_parts.append(Not(together))
-            sigma_add(Not(together))
+            parts.append(Not(_in_block(s.blocks[i][0], f"g{i}_", lambda zs: [
+                disj([Eq(a, z) for z in zs]), disj([Eq(b, z) for z in zs])])))
+        elif gap == 0:
+            parts.append(Forall((w,), Not(_between(w, a, b))))
         else:
             zs = tuple(f"g{i}_z{j}" for j in range(gap))
-            w = f"g{i}_w"
-            if gap == 0:
-                empty = Forall((w,), Not(_between(w, a, b)))
-                pi_parts.append(empty)
-                sigma_add(empty)
-            else:
-                chain = [_between(z, a, b) for z in zs] + \
-                    [_lt(p, q) for p, q in zip(zs, zs[1:])]
-                exact = Forall((w,), Or(tuple(
-                    [Not(_between(w, a, b))] + [Eq(w, z) for z in zs])))
-                sigma_add(Exists(zs, And(tuple(chain + [exact]))))
-                more = tuple(f"g{i}_y{j}" for j in range(gap + 1))
-                no_more = Forall(more, Or(tuple(
-                    [Not(_between(z, a, b)) for z in more] +
-                    [Eq(p, q) for p, q in itertools.combinations(more, 2)])))
-                pi_parts.append(no_more)
-                pi_parts.append(Exists(zs, And(tuple(chain))))
+            chain = [_between(z, a, b) for z in zs] + \
+                [_lt(p, q) for p, q in zip(zs, zs[1:])]
+            exact = Forall((w,), Or(tuple(
+                [Not(_between(w, a, b))] + [Eq(w, z) for z in zs])))
+            more = tuple(f"g{i}_y{j}" for j in range(gap + 1))
+            no_more = Forall(more, Or(tuple(
+                [Not(_between(z, a, b)) for z in more] +
+                [Eq(p, q) for p, q in itertools.combinations(more, 2)])))
+            parts.append((Exists(zs, And(tuple(chain + [exact]))),
+                          [no_more, Exists(zs, And(tuple(chain)))]))
         # least length over the closed interval is exactly 2*kmin + 2
         z = f"n{i}_z"
         inside = Or((Eq(z, a), Eq(z, b), _between(z, a, b)))
-        lower = Forall((z,), Or((Not(inside), Not(_short_formula(z, kmin, f"n{i}_")))))
-        exist = Exists((z,), And((inside, _length_formula(z, kmin, f"n{i}e_"))))
-        pi_parts.append(lower)
-        pi_parts.append(exist)
-        sigma_add(lower)
-        sigma_add(exist)
+        parts.append(Forall((z,), Or((Not(inside), Not(
+            _half_length_in(z, 0, kmin, f"n{i}_s"))))))
+        parts.append(Exists((z,), And((
+            inside, _half_length_in(z, kmin, kmin + 1, f"n{i}e_m")))))
 
-    pi_parts.append(_pad_pi3())
-    pulled = tuple(v for vars_, _ in sigma_parts for v in vars_)
-    matrix = And(tuple(m for _, m in sigma_parts) + (_pad_pi3(),))
-    return ShapeFormulas(sigma=Exists(pulled, matrix), pi=And(tuple(pi_parts)))
+    sigma = [p[0] if isinstance(p, tuple) else p for p in parts]
+    pi = [q for p in parts for q in (p[1] if isinstance(p, tuple) else [p])]
+    pulled = tuple(v for phi in sigma if isinstance(phi, Exists)
+                   for v in phi.vars)
+    matrix = [phi.body if isinstance(phi, Exists) else phi for phi in sigma]
+    return ShapeFormulas(sigma=Exists(pulled, And(tuple(matrix) + (_pad_pi3(),))),
+                         pi=And(tuple(pi) + (_pad_pi3(),)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +384,15 @@ def shift_tuple(g, elems, c, side="right"):
     """
     if side not in ("right", "left"):
         raise PreconditionError("side must be 'right' or 'left'")
-    firsts = sorted({e.rs[0] for e in elems})
-    r = c.rs[0]
+
+    def beyond(p, colour):
+        return between(p, None, colour) if side == "right" else \
+            between(None, p, colour)
+
+    sep = prev = beyond(c.rs[0], 1)
     seeds = {}
-    if side == "right":
-        sep = between(r, None, 1)
-        prev = sep
-        for u in firsts:
-            img = between(prev, None, color(u))
-            seeds[u] = img
-            prev = img
-    else:
-        sep = between(None, r, 1)
-        prev = sep
-        for u in reversed(firsts):
-            img = between(None, prev, color(u))
-            seeds[u] = img
-            prev = img
+    for u in sorted({e.rs[0] for e in elems}, reverse=side == "left"):
+        prev = seeds[u] = beyond(prev, color(u))
     f = ColorOrderMap(seeds)
     shifted = apply_first_coord_map(f, elems)
     separator = FSElement((sep,), (), 0)

@@ -36,6 +36,13 @@ GOLDEN_CASES = {
     "fs_shape_formulas.json":
         ["fs", "shape", "--formulas", "--graph", str(DATA / "edge2.graph"),
          '["1/4","1/2","3/4",0]', '["1/4","1/2","3/4",1]'],
+    "fs_shape_formulas_inf.json":
+        ["fs", "shape", "--formulas", "--graph", str(DATA / "edge2.graph"),
+         '["1/8","1/8","3/8",0]', '["1/8","1/8","3/4",0]'],
+    "fs_shift_left.json":
+        ["fs", "shift", "--graph", str(DATA / "edge2.graph"), "--side",
+         "left", "--past", '["1/2","1/8","3/8",0]', '["1/8","1/8","3/8",0]',
+         '["5/8","1/8","3/8",1]'],
     "fs_minlen.json":
         ["fs", "minlen", "--graph", str(DATA / "edge2.graph"),
          '["1/4","1/8","3/4",0]', '["1/4","3/8","3/4",0]'],
@@ -122,6 +129,23 @@ class TestExitCodes:
 
     def test_precondition_is_three(self):
         code, out = run(["daisy", "encode", "--set", "", "--bound", "0"])
+        assert code == 3
+        assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("argv", [
+        # a tuple entry outside the structure
+        ["bnf", "equiv", "--gamma", "1", "--tuple-a", "9", "--tuple-b", "0",
+         "PATH3", "PATH3"],
+        ["bnf", "formula", "--gamma", "1", "--tuple-a", "9", "PATH3"],
+        ["bnf", "intervals", "--gamma", "1", "--tuple-a", "9",
+         "CHAIN4", "CHAIN3"],
+        # intervals are defined on orders only
+        ["bnf", "intervals", "--gamma", "1", "PATH3", "PATH3"]])
+    def test_library_precondition_is_three(self, argv):
+        files = {"PATH3": str(DATA / "path3.graph"),
+                 "CHAIN3": str(DATA / "chain3.order"),
+                 "CHAIN4": str(DATA / "chain4.order")}
+        code, out = run([files.get(a, a) for a in argv])
         assert code == 3
         assert "error" in json.loads(out)
 

@@ -161,6 +161,15 @@ class TestSexprReader:
             (node,) = node
         assert node == ["x"]
 
+    @pytest.mark.parametrize("read, text", [
+        (parse_formula, "(not " * 5000 + "(E x x)" + ")" * 5000),
+        (parse_interp_spec,
+         "(domain 1 " + "(not " * 5000 + "(E x1 x1)" + ")" * 5000 + ")")],
+        ids=["formula", "spec"])
+    def test_formula_too_deep_is_malformed(self, read, text):
+        with pytest.raises(MalformedInputError, match="nested too deeply"):
+            read(text)
+
 
 class TestInterpSpec:
     def test_round_trip(self):

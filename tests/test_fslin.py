@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import hashlib
 import itertools
 import pickle
 import random
@@ -318,6 +319,20 @@ class TestShapeFormulas:
 
         assert holds(hi)
         assert not holds(hi + 1)
+
+    def test_positive_gap_bundles_are_pinned(self):
+        # sha256 of str(sigma) and str(pi) for the gap-1 pair of the 8-block,
+        # recorded with the separate Sigma and Pi component lists that
+        # shape_formulas kept before it built one component list (67,140
+        # and 67,221 characters)
+        g = edge_graph()
+        a, b = (element_from_json(g, ["1/8", "1/8", "1/8", "3/8", "3/8", k])
+                for k in (0, 2))
+        fb = shape_formulas(shape(g, (a, b)))
+        assert [hashlib.sha256(str(phi).encode()).hexdigest()
+                for phi in (fb.sigma, fb.pi)] == [
+            "3d3463c39fbde11333d9913f7e4cccfd9627029e9da3a7327be0e47e3d125bd6",
+            "d4b9e14be15e9e3e96c2a7eeb56175ab4c43ba63ac45ca1734baaf7884ebc379"]
 
 
 class TestShift:
