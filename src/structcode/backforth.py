@@ -5,30 +5,25 @@ structures by memoized game search.  At level 0 two tuples are equivalent
 when they satisfy the same atomic formulas; at level gamma+1, every move
 tuple on either side must admit a response on the other at level gamma.
 Move tuples range over distinct elements outside the current tuple — a
-duplicator mirrors repeats and previously played elements — and their
-length is capped by the declared move bound, which must cover both
-universes.
+duplicator mirrors repeats and previously played elements.  The declared
+move bound must cover both universes, so it never cuts a move short.
 
 ``phi_tuple`` and ``phi_pair`` generate the level-tagged formulas whose
 truth reproduces the game verdict: the tuple formula is specific to one
 structure and pinned tuple, the pair formula is uniform in the structure.
 
 ``interval_equiv`` checks tuples in finite linear orders interval by
-interval, and the two ``lg_*`` certifiers apply the shape machinery of
-``fslin`` to produce sound (but deliberately incomplete) verdicts for
-tuples of order elements built from a digraph.
+interval.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .core import (BigAnd, BigOr, Eq, Exists, FinLinOrder, Forall, Not, Or,
                    PreconditionError, Rel, _values_of, atom_places, conj, disj,
                    fingerprint)
-from .fslin import fs_compare, mentions, min_length_in_interval, shape, sort_elements
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +80,9 @@ def _check_entries(struct, tup):
 
 
 class _Game:
-    """The game between a and b with moves of length up to ``bound``, with
-    one memo of decided positions (level and the two tuples played).
+    """The game between a and b, with one memo of decided positions (level
+    and the two tuples played).  A ``bound`` below either universe's size
+    is rejected; one that covers both never cuts a move short.
 
     Levels strictly decrease along every line of play, so no position is
     re-entered while it is being decided.
@@ -106,7 +102,7 @@ class _Game:
         if bound < need:
             raise PreconditionError(
                 f"move bound {bound} below max structure size {need}")
-        self.a, self.b, self.bound = a, b, bound
+        self.a, self.b = a, b
         self.memo = {}
 
     def equiv(self, at, bt, g):
@@ -134,7 +130,7 @@ class _Game:
         for side, src, st, dst, dt in (("a", a, at, b, bt),
                                        ("b", b, bt, a, at)):
             fresh = sorted(src.universe_set.difference(st), key=repr)
-            for ln in range(1, min(self.bound, len(fresh)) + 1):
+            for ln in range(1, len(fresh) + 1):
                 for move in itertools.combinations(fresh, ln):
                     mt = st + move
                     answered = (self.equiv(mt, dt + r, g - 1) if side == "a"
@@ -314,79 +310,3 @@ def interval_equiv(a, atup, b, btup, gamma):
     for ia, ib in zip(intervals(a, atup), intervals(b, btup)):
         per.append(bf_equiv(ia, (), ib, (), gamma))
     return all(per), per
-
-
-# ---------------------------------------------------------------------------
-# certificates for tuples in L(G)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    verdict: str                 # "Equivalent" | "Distinguished" | "Unknown"
-    evidence: tuple = ()
-
-
-def _mention_concat(elems):
-    """Concatenated mentions of the sorted tuple, first occurrences only."""
-    out = []
-    for e in sort_elements(elems):
-        for v in mentions(e):
-            if v not in out:
-                out.append(v)
-    return tuple(out)
-
-
-def lg_certify(g, t1, t2, gamma):
-    """Sound, incomplete comparison of two tuples of order elements.
-
-    Equivalent when the shapes agree and the mentioned vertex tuples are
-    game-equivalent in G; Distinguished by an atomic order mismatch, by gap
-    sizes (level >= 1) or by positional block sizes (level >= 2); Unknown
-    otherwise.
-    """
-    _check_level(gamma)
-    t1, t2 = tuple(t1), tuple(t2)
-    if len(t1) != len(t2):
-        raise PreconditionError("tuples must have equal length")
-    s1, s2 = shape(g, t1), shape(g, t2)
-    if s1.order != s2.order:
-        return Certificate("Distinguished", ("order", s1.order, s2.order))
-    if gamma >= 1 and s1.gaps != s2.gaps:
-        return Certificate("Distinguished", ("gaps", s1.gaps, s2.gaps))
-    if gamma >= 2 and s1.blocks != s2.blocks:
-        return Certificate("Distinguished", ("blocks", s1.blocks, s2.blocks))
-    if s1 == s2:
-        m1, m2 = _mention_concat(t1), _mention_concat(t2)
-        if len(m1) == len(m2) and bf_equiv(g, m1, g, m2, gamma):
-            return Certificate("Equivalent", ("shape+mentions", m1, m2))
-    return Certificate("Unknown")
-
-
-def lg_concat_certify(g, pair1, pair2, gamma):
-    """Equivalence of concatenated tuples split by length-2 separators.
-
-    Each argument is a pair of tuples with the first wholly left of the
-    second.  The verdict is Equivalent only when both halves certify as
-    Equivalent and a length-2 element exists between the halves on both
-    sides; it is never Distinguished.
-    """
-    _check_level(gamma)
-    (b1, b2), (c1, c2) = pair1, pair2
-    for left, right in ((b1, b2), (c1, c2)):
-        if not (left and right):
-            raise PreconditionError("both parts must be nonempty")
-        if any(fs_compare(x, y) >= 0 for x in left for y in right):
-            raise PreconditionError("first part must lie wholly left of second")
-    first = lg_certify(g, b1, c1, gamma)
-    second = lg_certify(g, b2, c2, gamma)
-    if first.verdict == "Equivalent" and second.verdict == "Equivalent":
-        ok = True
-        for left, right in ((b1, b2), (c1, c2)):
-            x = sort_elements(left)[-1]
-            y = sort_elements(right)[0]
-            k, _ = min_length_in_interval(g, x, y)
-            if k != 0:
-                ok = False
-        if ok:
-            return Certificate("Equivalent", ("parts", first.evidence, second.evidence))
-    return Certificate("Unknown")

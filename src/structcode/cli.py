@@ -13,13 +13,13 @@ import json
 import sys
 
 from . import formats
-from .backforth import (distinguishing_move, interval_equiv,
-                        lg_certify, lg_concat_certify, phi_pair, phi_tuple)
+from .backforth import distinguishing_move, interval_equiv, phi_pair, phi_tuple
 from .codings import (OMEGA, daisy_decode, daisy_encode, shuffle_build,
                       shuffle_decode, Block, ShuffleFragment)
 from .core import (Digraph, FinLinOrder, LoopedDigraph, MalformedInputError,
                    StructError, UGraph, classify, ident_key)
-from .fslin import (block_of, fs_compare, fs_element, fs_enumerate, mentions,
+from .fslin import (block_of, fs_compare, fs_element, fs_enumerate,
+                    lg_certify, lg_concat_certify, mentions,
                     min_length_in_interval, shape, shape_formulas, shift_tuple)
 from .interp import builtin_int_in_nat, check_interpretation, marker_interp, trivial_interp
 from .marker import MarkerStreamDecoder, marker_decode, marker_encode
@@ -157,7 +157,8 @@ def cmd_fs(args):
     g = load_graph(args.graph)
     if args.action == "member":
         try:
-            formats.element_from_json(g, _json_arg(args.elems[0], "element"))
+            fs_element(g, formats.element_items_from_json(
+                _json_arg(args.elems[0], "element")))
         except MalformedInputError as exc:
             return 1, {"member": False, "reason": str(exc)}
         return 0, {"member": True}

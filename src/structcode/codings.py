@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import MalformedInputError, PreconditionError, UGraph
-from .denseq import Dyadic
+from .denseq import Dyadic, index_points
 
 OFFSET = 2          # block size = label + OFFSET
 OMEGA = "omega"
@@ -101,8 +101,6 @@ def daisy_decode(h):
     s = set()
     seen = set()
     for length in lengths:
-        if length < 3:
-            raise MalformedInputError("petal too short")
         n = (length - 3) // 2
         if length % 2 == 1:
             s.add(n)
@@ -152,13 +150,6 @@ def min_resolution(label_count):
     if label_count < 1:
         raise PreconditionError("at least one label required")
     return (label_count - 1).bit_length() + 2
-
-
-def index_points(resolution):
-    """All dyadics in (0,1) with exponent up to the resolution, by value."""
-    pts = [Dyadic(a, k) for k in range(1, resolution + 1)
-           for a in range(1, 1 << k, 2)]
-    return sorted(pts)
 
 
 def shuffle_build(labels, include_omega, resolution):

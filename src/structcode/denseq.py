@@ -5,6 +5,7 @@ The carrier is the set of dyadic points of the open unit interval, written
 the length of the trailing run of 1-bits of its numerator, minus one; every
 colour class is dense in (0, 1).  On top of the carrier the module provides
 
+* ``index_points``: the grid of points with exponent up to k, in order;
 * ``between``: the canonical colour-n point of an open interval (least
   exponent, then least numerator);
 * ``simplest_between``: the canonical point of an interval regardless of
@@ -70,6 +71,12 @@ def color(d):
     return run - 1
 
 
+def index_points(k):
+    """The points a / 2**k of (0, 1) in increasing order, in lowest terms."""
+    return [Dyadic(a // (a & -a), k + 1 - (a & -a).bit_length())
+            for a in range(1, 1 << k)]
+
+
 def _num_bounds(lo, hi, k):
     """Open numerator range at exponent k for the interval (lo, hi).
 
@@ -132,8 +139,6 @@ class ColorOrderMap:
             if color(src) != color(img):
                 raise ConstraintError(f"{src} -> {img} changes colour")
         for (s1, i1), (s2, i2) in zip(items, items[1:]):
-            if s1 == s2:
-                raise ConstraintError(f"conflicting images for {s1}")
             if not i1 < i2:
                 raise ConstraintError(f"images of {s1} and {s2} are not increasing")
         self.seeds = dict(items)

@@ -20,7 +20,6 @@ import re
 from .core import (And, BigAnd, BigOr, Eq, Exists, Forall, Formula,
                    MalformedInputError, Not, Or, PreconditionError, Rel)
 from .denseq import Dyadic
-from .fslin import fs_element
 from .interp import InterpretationSpec
 
 
@@ -232,11 +231,6 @@ def element_items_from_json(data):
     if not data or not isinstance(data[-1], int) or isinstance(data[-1], bool):
         raise MalformedInputError("final entry must be an integer")
     return items + [data[-1]]
-
-
-def element_from_json(g, data):
-    """[\"1/2\", \"5/8\", \"3/4\", 1] -> validated order element."""
-    return fs_element(g, element_items_from_json(data))
 
 
 def element_to_json(e):

@@ -15,6 +15,9 @@ The toolkit computes the invariants of finite tuples of such elements
 record), emits defining formulas for a shape at the expected syntactic
 level, and realizes order automorphisms acting on first coordinates,
 including the shift move that relocates a tuple beyond a given element.
+The two ``lg_*`` certifiers combine shapes with the back-and-forth game
+of ``backforth`` on G into sound (but deliberately incomplete) verdicts
+for pairs of tuples of elements.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 from .core import (And, Eq, Exists, Forall, MalformedInputError, Not,
                    Or, PreconditionError, Rel, atomic_type_of, conj, disj,
                    type_start_index)
-from .denseq import ColorOrderMap, Dyadic, between, color
+from .backforth import _check_level, bf_equiv
+from .denseq import ColorOrderMap, Dyadic, between, color, index_points
 
 
 class FSElement(tuple):
@@ -136,9 +140,7 @@ def fs_enumerate(g, max_half_len, max_exponent):
     """
     if max_half_len < 0 or max_exponent < 0:
         raise PreconditionError("caps must be nonnegative")
-    # the points a / 2**max_exponent in increasing order, in lowest terms
-    points = [Dyadic(a // (a & -a), max_exponent + 1 - (a & -a).bit_length())
-              for a in range(1, 1 << max_exponent)]
+    points = index_points(max_exponent)
     pads = [(r, color(r)) for r in points if color(r) < 2]
     coords = [(q, color(q)) for q in points if color(q) in g.universe_set]
 
@@ -397,3 +399,76 @@ def shift_tuple(g, elems, c, side="right"):
     shifted = apply_first_coord_map(f, elems)
     separator = FSElement((sep,), (), 0)
     return ShiftResult(elements=shifted, separator=separator, map=f)
+
+
+# ---------------------------------------------------------------------------
+# certificates for tuples in L(G)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    verdict: str                 # "Equivalent" | "Distinguished" | "Unknown"
+    evidence: tuple = ()
+
+
+def _mention_concat(elems):
+    """Concatenated mentions of the sorted tuple, first occurrences only."""
+    out = []
+    for e in sort_elements(elems):
+        for v in mentions(e):
+            if v not in out:
+                out.append(v)
+    return tuple(out)
+
+
+def lg_certify(g, t1, t2, gamma):
+    """Sound, incomplete comparison of two tuples of order elements.
+
+    Equivalent when the shapes agree and the mentioned vertex tuples are
+    game-equivalent in G; Distinguished by an atomic order mismatch, by gap
+    sizes (level >= 1) or by positional block sizes (level >= 2); Unknown
+    otherwise.
+    """
+    _check_level(gamma)
+    t1, t2 = tuple(t1), tuple(t2)
+    if len(t1) != len(t2):
+        raise PreconditionError("tuples must have equal length")
+    s1, s2 = shape(g, t1), shape(g, t2)
+    if s1.order != s2.order:
+        return Certificate("Distinguished", ("order", s1.order, s2.order))
+    if gamma >= 1 and s1.gaps != s2.gaps:
+        return Certificate("Distinguished", ("gaps", s1.gaps, s2.gaps))
+    if gamma >= 2 and s1.blocks != s2.blocks:
+        return Certificate("Distinguished", ("blocks", s1.blocks, s2.blocks))
+    if s1 == s2:
+        m1, m2 = _mention_concat(t1), _mention_concat(t2)
+        if len(m1) == len(m2) and bf_equiv(g, m1, g, m2, gamma):
+            return Certificate("Equivalent", ("shape+mentions", m1, m2))
+    return Certificate("Unknown")
+
+
+def lg_concat_certify(g, pair1, pair2, gamma):
+    """Equivalence of concatenated tuples split by length-2 separators.
+
+    Each argument is a pair of tuples with the first wholly left of the
+    second.  The verdict is Equivalent only when both halves certify as
+    Equivalent and a length-2 element exists between the halves on both
+    sides; it is never Distinguished.
+    """
+    _check_level(gamma)
+    (b1, b2), (c1, c2) = pair1, pair2
+    for left, right in ((b1, b2), (c1, c2)):
+        if not (left and right):
+            raise PreconditionError("both parts must be nonempty")
+        if any(fs_compare(x, y) >= 0 for x in left for y in right):
+            raise PreconditionError("first part must lie wholly left of second")
+    first = lg_certify(g, b1, c1, gamma)
+    second = lg_certify(g, b2, c2, gamma)
+    # a length-2 element lies between the halves exactly when the least
+    # half length over the interval from the left's last element to the
+    # right's first is 0
+    if first.verdict == second.verdict == "Equivalent" and all(
+            min_length_in_interval(g, max(left), min(right))[0] == 0
+            for left, right in ((b1, b2), (c1, c2))):
+        return Certificate("Equivalent", ("parts", first.evidence, second.evidence))
+    return Certificate("Unknown")

@@ -30,15 +30,15 @@ import time
 
 import pytest
 
-from structcode.backforth import (bf_equiv, interval_equiv, lg_certify,
-                                  lg_concat_certify, phi_pair, phi_tuple)
+from structcode.backforth import bf_equiv, interval_equiv, phi_pair, phi_tuple
 from structcode.codings import (OMEGA, census, daisy_decode, daisy_encode,
                                 shuffle_decode_set, shuffle_encode_set)
 from structcode.core import (Digraph, Evaluator, FinLinOrder, Not, Structure,
                              classify, eval_formula, iso_check)
 from structcode.denseq import ColorOrderMap, between, color
 from structcode.fslin import (apply_first_coord_map, block_of, fs_compare,
-                              fs_element, fs_enumerate, fs_member, mentions,
+                              fs_element, fs_enumerate, fs_member,
+                              lg_certify, lg_concat_certify, mentions,
                               min_length_in_interval, shape, shape_formulas,
                               shift_tuple, sort_elements)
 from structcode.interp import (InterpretationSpec, builtin_int_in_nat,

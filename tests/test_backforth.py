@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from structcode.backforth import (Certificate, _matching_extensions, bf_equiv,
+from structcode.backforth import (_matching_extensions, bf_equiv,
                                   distinguishing_move, fingerprint,
-                                  interval_equiv, lg_certify,
-                                  lg_concat_certify, phi_pair, phi_tuple)
+                                  interval_equiv, phi_pair, phi_tuple)
 from structcode.core import (Digraph, Evaluator, FinLinOrder, LoopedDigraph,
                              PreconditionError, classify, eval_formula)
 from structcode.denseq import Dyadic
-from structcode.fslin import fs_element, fs_enumerate, shape, shift_tuple
+from structcode.fslin import (Certificate, fs_element, fs_enumerate,
+                              lg_certify, lg_concat_certify, shape,
+                              shift_tuple)
 
 D = Dyadic
 
@@ -165,6 +166,23 @@ class TestPreconditions:
         for call in calls:
             with pytest.raises(PreconditionError):
                 call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g, o: bf_equiv(g, (0,), g, (), 1),
+         "tuples must have equal length"),
+        (lambda g, o: distinguishing_move(g, (), g, (), 1, 2),
+         "move bound 2 below max structure size 3"),
+        (lambda g, o: phi_tuple(g, (0,), 1, 2),
+         "move bound below structure size"),
+        (lambda g, o: interval_equiv(o, (0,), o, (), 1),
+         "tuples must have equal length"),
+        (lambda g, o: interval_equiv(o, (1, 0), o, (0, 1), 1),
+         "tuples must be strictly increasing")])
+    def test_lengths_bounds_and_order(self, call, message):
+        g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
+        with pytest.raises(PreconditionError) as err:
+            call(g, FinLinOrder(range(3)))
+        assert str(err.value) == message
 
     def test_negative_pair_length_or_bound(self):
         for n, bound in ((-1, 2), (1, -1)):

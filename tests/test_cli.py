@@ -149,6 +149,21 @@ class TestExitCodes:
         assert code == 3
         assert "error" in json.loads(out)
 
+    def test_order_file_with_vertex_line_is_three(self, tmp_path):
+        order = tmp_path / "vo.order"
+        order.write_text("v 1\no 1 2\n")
+        code, out = run(["bnf", "equiv", "--gamma", "1", str(order), str(order)])
+        assert code == 3
+        assert json.loads(out) == {
+            "error": f"{order}: order files take only o lines"}
+
+    def test_certify_tuple_not_a_list_is_two(self, capsys):
+        code, out = run(["fs", "certify", "--graph", str(DATA / "edge2.graph"),
+                         "--gamma", "1", "--tuple-a", "5", "--tuple-b", "[]"])
+        assert (code, out) == (2, "")
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "tuple must be a JSON list of elements"}
+
     def test_negative_gamma_is_three(self):
         code, out = run(["bnf", "equiv", "--gamma", "-1",
                          "--tuple-a", "0", "--tuple-b", "2",

@@ -42,6 +42,21 @@ class TestDaisy:
         assert daisy_decode(daisy_encode({0}, 1)) == ({0}, 1)
         assert daisy_decode(daisy_encode(set(), 1)) == (set(), 1)
 
+    @pytest.mark.parametrize("edges, message", [
+        # a path has no vertex of degree above 2 and is not a cycle
+        ([(0, 1), (1, 2)], "not a daisy: no center and not a cycle"),
+        # a triangle, a 4-cycle and the dangling path 0-5-6
+        ([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6)],
+         "petal does not close through the center"),
+        # petals of 3 and 7 edges code n = 0 and n = 2 but not n = 1
+        ([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+          (7, 8), (8, 0)], "petal indices [0, 2] are not an initial segment")])
+    def test_malformed_daisies(self, edges, message):
+        vertices = sorted({v for e in edges for v in e})
+        with pytest.raises(MalformedInputError) as err:
+            daisy_decode(UGraph(vertices, edges))
+        assert str(err.value) == message
+
     def test_bad_inputs(self):
         with pytest.raises(PreconditionError):
             daisy_encode(set(), 0)

@@ -581,6 +581,11 @@ class TestClassify:
         e = Exists(("y",), Rel("E", ("x", "y")))
         assert classify(Not(e)) == ("pi", 1)
 
+    def test_non_node_raises(self):
+        with pytest.raises(EvalError) as err:
+            classify(And((Eq("x", "y"), "x")))
+        assert str(err.value) == "not a formula node: 'x'"
+
     def test_conj_disj_helpers(self):
         a, b = Eq("x", "y"), Eq("y", "z")
         assert conj([a]) is a
@@ -769,6 +774,15 @@ class TestAtomicTypes:
         for s in (FinLinOrder([0, 1]), mixed()):
             with pytest.raises(PreconditionError):
                 atomic_type_of(s, ())
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g: atomic_type_of(g, (0, 0)), "tuple (0, 0) has repeated entries"),
+        (lambda g: atomic_type_of(g, (0, 7)), "7 is not a vertex"),
+        (lambda g: type_from_index(0), "type indices start at 1")])
+    def test_preconditions(self, call, message):
+        with pytest.raises(PreconditionError) as err:
+            call(LoopedDigraph([0, 1], [(0, 1)]))
+        assert str(err.value) == message
 
     def test_type_of_tuple(self):
         g = LoopedDigraph([0, 1], [(0, 0), (0, 1)])

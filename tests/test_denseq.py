@@ -116,7 +116,11 @@ class TestColorOrderMap:
             ColorOrderMap({Dyadic(1, 1): Dyadic(3, 2)})  # colour change
         with pytest.raises(ConstraintError):
             ColorOrderMap({Dyadic(1, 2): Dyadic(3, 3),
-                           Dyadic(3, 2): Dyadic(1, 3)})  # order reversal
+                           Dyadic(3, 2): Dyadic(1, 3)})  # colour change
+        with pytest.raises(ConstraintError) as err:
+            ColorOrderMap({Dyadic(1, 2): Dyadic(5, 3),
+                           Dyadic(3, 2): Dyadic(3, 3)})  # order reversal
+        assert str(err.value) == "images of 1/4 and 3/4 are not increasing"
 
     def test_seeds_are_fixed(self):
         m = ColorOrderMap({Dyadic(1, 2): Dyadic(1, 1)})

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from structcode.core import (And, BigOr, Digraph, Eq, Exists, Forall,
                              MalformedInputError, Not, Or, Rel)
 from structcode.denseq import Dyadic
-from structcode.formats import (element_from_json, element_to_json,
+from structcode.formats import (element_items_from_json, element_to_json,
                                 formula_to_sexpr, interp_spec_to_text,
                                 parse_formula, parse_interp_spec,
                                 parse_sexprs, parse_struct_text,
                                 sexpr_to_formula, struct_to_text)
+from structcode.fslin import fs_element
 
 
 class TestStructText:
@@ -193,12 +194,21 @@ class TestInterpSpec:
             with pytest.raises(MalformedInputError):
                 parse_interp_spec(bad)
 
+    @pytest.mark.parametrize("text, message", [
+        ("(domain 1)", "domain takes an arity and a formula"),
+        ("(rel-pos E (and))", "rel-pos takes a name, slot arities and a formula"),
+        ("(target E)", "target takes a name and an arity")])
+    def test_malformed_records(self, text, message):
+        with pytest.raises(MalformedInputError) as err:
+            parse_interp_spec(text)
+        assert str(err.value) == message
+
 
 class TestElementJson:
     def test_round_trip(self):
         g = Digraph([0, 1], [(0, 1)])
         data = ["1/4", "1/2", "3/4", 0]
-        e = element_from_json(g, data)
+        e = fs_element(g, element_items_from_json(data))
         assert e.rs == (Dyadic(1, 2), Dyadic(3, 2))
         assert element_to_json(e) == data
 
@@ -206,4 +216,4 @@ class TestElementJson:
         g = Digraph([0, 1], [(0, 1)])
         for bad in ("no", ["1/2", "3/4"], [1, 0], ["1/2", True], []):
             with pytest.raises(MalformedInputError):
-                element_from_json(g, bad)
+                fs_element(g, element_items_from_json(bad))

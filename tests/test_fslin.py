@@ -13,11 +13,12 @@ from structcode.core import (Digraph, FinLinOrder, MalformedInputError,
                              PreconditionError, classify, eval_formula,
                              type_start_index)
 from structcode.denseq import Dyadic, color
-from structcode.formats import element_from_json, parse_formula
+from structcode.formats import element_items_from_json, parse_formula
 from structcode.fslin import (FSElement, Shape, apply_first_coord_map,
                               block_of, fs_compare, fs_element, fs_enumerate,
                               fs_member, in_block_any_position,
-                              in_block_formula, mentions,
+                              in_block_formula, lg_certify,
+                              lg_concat_certify, mentions,
                               min_length_in_interval, shape, shape_formulas,
                               shift_tuple, sort_elements)
 
@@ -59,6 +60,9 @@ class TestMembership:
             # two coordinates of colour 0 mention vertex 0 twice
         with pytest.raises(MalformedInputError):
             fs_element(g, [D(1, 1), 1])                 # tail not below index
+        with pytest.raises(MalformedInputError) as err:
+            fs_element(g, [1, 0])                       # coordinate not dyadic
+        assert str(err.value) == "all entries before the tail must be dyadics"
 
     def test_tail_bound_follows_type_index(self):
         g = edge_graph()
@@ -94,6 +98,12 @@ class TestCompare:
         b = FSElement((D(1, 1), D(3, 2)), (D(1, 2),), 0)
         with pytest.raises(MalformedInputError):
             fs_compare(a, b)
+
+    def test_extension_raises(self):
+        a = FSElement._make((D(1, 1), 0))
+        with pytest.raises(MalformedInputError) as err:
+            fs_compare(a, FSElement._make(a + (0, 0)))
+        assert str(err.value) == "one member sequence extends the other"
 
 
 class TestEnumerate:
@@ -298,8 +308,8 @@ class TestShapeFormulas:
     def test_same_block_gap(self, tails, gap):
         # a block of 8 members: its pairs take the finite-gap branch
         g = edge_graph()
-        block = [element_from_json(g, ["1/8", "1/8", "1/8", "3/8", "3/8", k])
-                 for k in range(8)]
+        block = [fs_element(g, element_items_from_json(
+                     ["1/8", "1/8", "1/8", "3/8", "3/8", k])) for k in range(8)]
         s = shape(g, [block[k] for k in tails])
         assert s.gaps == (gap,)
         fb = shape_formulas(s)
@@ -326,13 +336,30 @@ class TestShapeFormulas:
         # shape_formulas kept before it built one component list (67,140
         # and 67,221 characters)
         g = edge_graph()
-        a, b = (element_from_json(g, ["1/8", "1/8", "1/8", "3/8", "3/8", k])
-                for k in (0, 2))
+        a, b = (fs_element(g, element_items_from_json(
+                    ["1/8", "1/8", "1/8", "3/8", "3/8", k])) for k in (0, 2))
         fb = shape_formulas(shape(g, (a, b)))
         assert [hashlib.sha256(str(phi).encode()).hexdigest()
                 for phi in (fb.sigma, fb.pi)] == [
             "3d3463c39fbde11333d9913f7e4cccfd9627029e9da3a7327be0e47e3d125bd6",
             "d4b9e14be15e9e3e96c2a7eeb56175ab4c43ba63ac45ca1734baaf7884ebc379"]
+
+
+class TestCertifierPreconditions:
+    @pytest.mark.parametrize("call, message", [
+        (lambda g, f: lg_certify(g, (f[2],), (), 1),
+         "tuples must have equal length"),
+        (lambda g, f: lg_concat_certify(g, ((f[2],), ()),
+                                        ((f[2],), (f[7],)), 1),
+         "both parts must be nonempty"),
+        (lambda g, f: lg_concat_certify(g, ((f[7],), (f[2],)),
+                                        ((f[2],), (f[7],)), 1),
+         "first part must lie wholly left of second")])
+    def test_rejections(self, call, message):
+        g = edge_graph()
+        with pytest.raises(PreconditionError) as err:
+            call(g, fs_enumerate(g, 1, 3))
+        assert str(err.value) == message
 
 
 class TestShift:

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses or
-defines a private top-level name it never uses, and every function the
-benchmark's tracer wraps still exists where it looks for it."""
+defines a private top-level name it never uses, each module imports only
+the layers below it, and every function the benchmark's tracer wraps still
+exists where it looks for it."""
 
 import ast
 import importlib
@@ -73,6 +74,48 @@ def test_package_has_no_unused_private_names():
     found = {path.name: unused_private_names(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+# module -> the package modules it may import; None for any
+LAYERS = {
+    "__init__": set(),
+    "core": set(),
+    "denseq": {"core"},
+    "marker": {"core"},
+    "backforth": {"core"},
+    "codings": {"core", "denseq"},
+    "fslin": {"core", "denseq", "backforth"},
+    "interp": {"core", "marker"},
+    "formats": {"core", "denseq", "interp"},
+    "cli": None,
+}
+
+
+def package_imports(source):
+    """The package modules a module imports anywhere in its body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [alias.name for alias in node.names]
+            found.update(n.split(".")[1] for n in names
+                         if n.startswith("structcode."))
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    src = ("from . import formats\nfrom .core import x\n"
+           "def f():\n    from .fslin import y\n"
+           "import structcode.marker\nimport os\n")
+    assert package_imports(src) == {"formats", "core", "fslin", "marker"}
+    found = {path.stem: package_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert set(found) == set(LAYERS)
+    assert {name: sorted(mods - LAYERS[name]) for name, mods in found.items()
+            if LAYERS[name] is not None and not mods <= LAYERS[name]} == {}
 
 
 def test_traced_targets_resolve():

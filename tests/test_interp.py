@@ -99,6 +99,15 @@ class TestPrecondition:
         with pytest.raises(PreconditionError):
             check_interpretation(carrier, spec, target, max_arity=0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: builtin_int_in_nat(0), "window bound must be at least 1"),
+        (lambda: trivial_interp(Digraph([1, 2], []), FinLinOrder([0])),
+         "target universe must be {0..n-1}")])
+    def test_rejections(self, call, message):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert str(err.value) == message
+
 
 # ---------------------------------------------------------------------------
 # check_interpretation against a naive reference: D x D tables, a D^3
