@@ -1,12 +1,21 @@
 """Finite-level back-and-forth equivalence with tuple moves.
 
 ``bf_equiv`` decides the symmetric relation ~gamma between tuples of finite
-structures by memoized game search.  At level 0 two tuples are equivalent
-when they satisfy the same atomic formulas; at level gamma+1, every move
-tuple on either side must admit a response on the other at level gamma.
-Move tuples range over distinct elements outside the current tuple — a
-duplicator mirrors repeats and previously played elements.  The declared
-move bound must cover both universes, so it never cuts a move short.
+structures.  At level 0 two tuples are equivalent when they satisfy the
+same atomic formulas; at level gamma+1, every move tuple on either side
+must admit a response on the other at level gamma.  Move tuples range over
+distinct elements outside the current tuple — a duplicator mirrors repeats
+and previously played elements.  The declared move bound must cover both
+universes, so it never cuts a move short.
+
+So at level 1 the spoiler may play every fresh element in one move, and a
+response is a bijection that keeps every atomic fact: an isomorphism that
+sends one tuple to the other.  Such an isomorphism answers every move at
+every level.  For gamma >= 1, ~gamma therefore holds exactly when some
+isomorphism sends atup to btup, and ``bf_equiv`` decides it by one
+``iso_check`` whose search starts with the tuple pairs.  The levels
+collapse only because the structures are finite and the bound covers
+them; for infinite structures they do not.
 
 ``phi_tuple`` and ``phi_pair`` generate the level-tagged formulas whose
 truth reproduces the game verdict: the tuple formula is specific to one
@@ -23,11 +32,11 @@ import itertools
 
 from .core import (BigAnd, BigOr, Eq, Exists, FinLinOrder, Forall, Not, Or,
                    PreconditionError, Rel, _values_of, atom_places, conj, disj,
-                   fingerprint)
+                   fingerprint, iso_check)
 
 
 # ---------------------------------------------------------------------------
-# game search
+# game: verdicts by isomorphism, witnesses by matching extensions
 
 
 @functools.lru_cache(maxsize=256)
@@ -79,83 +88,43 @@ def _check_entries(struct, tup):
                                 "structure")
 
 
-class _Game:
-    """The game between a and b, with one memo of decided positions (level
-    and the two tuples played).  A ``bound`` below either universe's size
-    is rejected; one that covers both never cuts a move short.
-
-    Levels strictly decrease along every line of play, so no position is
-    re-entered while it is being decided.
-    """
-
-    def __init__(self, a, atup, b, btup, gamma, bound):
-        _check_level(gamma)
-        if a.signature != b.signature:
-            raise PreconditionError("structures must have the same signature")
-        if len(atup) != len(btup):
-            raise PreconditionError("tuples must have equal length")
-        _check_entries(a, atup)
-        _check_entries(b, btup)
-        need = max(len(a.universe), len(b.universe))
-        if bound is None:
-            bound = need
-        if bound < need:
-            raise PreconditionError(
-                f"move bound {bound} below max structure size {need}")
-        self.a, self.b = a, b
-        self.memo = {}
-
-    def equiv(self, at, bt, g):
-        """(a, at) ~g (b, bt), for tuples that agree on every atomic fact."""
-        if g == 0:
-            return True
-        key = (at, bt, g)
-        res = self.memo.get(key)
-        if res is None:
-            res = self.memo[key] = self.unanswered(at, bt, g) is None
-        return res
-
-    def unanswered(self, at, bt, g):
-        """The first spoiler move with no response at level g-1, as
-        ("a"|"b", move), or None when every move is answered.
-
-        Moves are tried side a first, shorter moves first, then in
-        ``itertools.combinations`` order over the fresh elements sorted by
-        ``repr``.  Sorted distinct fresh tuples suffice: permuted moves are
-        answered by the permuted response, repeats and old elements are
-        mirrored, and a surplus of fresh elements on one side shows as a
-        longer move from that side with no matching extension.
-        """
-        a, b = self.a, self.b
-        for side, src, st, dst, dt in (("a", a, at, b, bt),
-                                       ("b", b, bt, a, at)):
-            fresh = sorted(src.universe_set.difference(st), key=repr)
-            for ln in range(1, len(fresh) + 1):
-                for move in itertools.combinations(fresh, ln):
-                    mt = st + move
-                    answered = (self.equiv(mt, dt + r, g - 1) if side == "a"
-                                else self.equiv(dt + r, mt, g - 1)
-                                for r in _matching_extensions(src, st, move,
-                                                              dst, dt))
-                    if not any(answered):
-                        return side, move
-        return None
-
-
 def bf_equiv(a, atup, b, btup, gamma, bound=None):
-    """Decide (a, atup) ~gamma (b, btup) by memoized game search."""
+    """Decide (a, atup) ~gamma (b, btup): atomic facts at level 0, and an
+    isomorphism sending atup to btup at every level >= 1.  A ``bound``
+    below either universe's size is rejected."""
     atup, btup = tuple(atup), tuple(btup)
-    game = _Game(a, atup, b, btup, gamma, bound)
+    _check_level(gamma)
+    if a.signature != b.signature:
+        raise PreconditionError("structures must have the same signature")
+    if len(atup) != len(btup):
+        raise PreconditionError("tuples must have equal length")
+    _check_entries(a, atup)
+    _check_entries(b, btup)
+    need = max(len(a.universe), len(b.universe))
+    if bound is not None and bound < need:
+        raise PreconditionError(
+            f"move bound {bound} below max structure size {need}")
     return fingerprint(a, atup) == fingerprint(b, btup) and \
-        game.equiv(atup, btup, gamma)
+        (gamma == 0 or iso_check(a, b, tuple(zip(atup, btup))) is not None)
 
 
 def distinguishing_move(a, atup, b, btup, gamma, bound=None):
     """Evidence for a negative bf_equiv verdict, or None when equivalent.
 
     Returns ("atomic", fp_a, fp_b) for a level-0 mismatch, otherwise
-    ("a"|"b", move) for the first unanswerable spoiler move in the order of
-    ``_Game.unanswered``.
+    ("a"|"b", move) for the first spoiler move with no response at level
+    gamma-1.  Moves are tried side a first, shorter moves first, then in
+    ``itertools.combinations`` order over the fresh elements sorted by
+    ``repr``.  Sorted distinct fresh tuples suffice: permuted moves are
+    answered by the permuted response, repeats and old elements are
+    mirrored, and a surplus of fresh elements on one side shows as a longer
+    move from that side with no matching extension.
+
+    At gamma 1 a response need only match atomic facts.  At gamma >= 2 it
+    would be an isomorphism extending the tuples, which the verdict rules
+    out, so the first move is unanswered.  A side without fresh elements
+    has no move; when neither has one, atup -> btup is itself an
+    isomorphism, so a negative verdict always has a move.
     """
     atup, btup = tuple(atup), tuple(btup)
     if bf_equiv(a, atup, b, btup, gamma, bound):
@@ -163,7 +132,14 @@ def distinguishing_move(a, atup, b, btup, gamma, bound=None):
     fa, fb = fingerprint(a, atup), fingerprint(b, btup)
     if fa != fb:
         return ("atomic", fa, fb)
-    return _Game(a, atup, b, btup, gamma, bound).unanswered(atup, btup, gamma)
+    for side, src, st, dst, dt in (("a", a, atup, b, btup),
+                                   ("b", b, btup, a, atup)):
+        fresh = sorted(src.universe_set.difference(st), key=repr)
+        for ln in range(1, len(fresh) + 1):
+            for move in itertools.combinations(fresh, ln):
+                if gamma >= 2 or next(_matching_extensions(
+                        src, st, move, dst, dt), None) is None:
+                    return side, move
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +160,22 @@ def _atoms(signature, vs):
             yield Rel(name, tuple(vs[p] for p in pos))
 
 
+@functools.lru_cache(maxsize=256)
+def _literals(signature, n):
+    """(atom, Not(atom)) for each atom of ``_atoms`` over x1, ..., xn, built
+    once; ``signature`` is a sorted tuple of (name, arity)."""
+    return tuple((atom, Not(atom)) for atom in
+                 _atoms(dict(signature), [_var(i) for i in range(n)]))
+
+
 def _atomic_diagram(struct, tup):
     """Quantifier-free diagram of a tuple over variables x1, x2, ...: each
     atom of ``_atoms`` or its negation, as ``fingerprint`` decides."""
     eq, rels = fingerprint(struct, tup)
     holds = [x == y for x, y in itertools.combinations(eq, 2)]
     holds += [bit for _, bits in rels for bit in bits]
-    atoms = _atoms(struct.signature, [_var(i) for i in range(len(tup))])
-    return conj(a if h else Not(a) for a, h in zip(atoms, holds))
+    lits = _literals(tuple(sorted(struct.signature.items())), len(tup))
+    return conj(lit[not h] for lit, h in zip(lits, holds))
 
 
 def phi_tuple(struct, tup, gamma, bound=None):

@@ -808,17 +808,26 @@ def _refine_colors(s):
     return _refine(table, colors), table
 
 
-def iso_check(a, b):
-    """A dict mapping A's universe onto B's that is an isomorphism, or None.
+def iso_check(a, b, fixed=()):
+    """A dict mapping A's universe onto B's that is an isomorphism sending
+    x to y for each pair (x, y) of ``fixed``, or None.
 
     Individualise and refine, in one loop over an explicit search path: the
     pairs on the path get fresh colours on top of both refined colourings,
     which are refined again, and a node whose class sizes differ is cut.
-    Else the first element of A (by root class size, colour and ``repr``)
-    whose class is not a singleton is tried on B's elements of its colour in
-    ``repr`` order.  Refinement only cuts branches that no isomorphism
-    extends, so the first all-singleton colouring that maps each relation
-    onto B's gives the first isomorphism in that order."""
+    The path starts with the ``fixed`` pairs, one candidate each.  Then the
+    first element of A (by root class size, colour and ``repr``) whose class
+    is not a singleton is tried on B's elements of its colour in ``repr``
+    order.  Refinement only cuts branches that no isomorphism extends, so
+    the first all-singleton colouring that maps each relation onto B's and
+    each fixed entry onto its partner gives the first such isomorphism in
+    that order.  The last check is needed: an entry fixed twice keeps only
+    its last colour.  A pair entry outside its structure raises
+    PreconditionError."""
+    if not (a.universe_set.issuperset(x for x, _ in fixed) and
+            b.universe_set.issuperset(y for _, y in fixed)):
+        raise PreconditionError(f"pairs {tuple(fixed)!r} have entries outside "
+                                "the structures")
     if a.signature != b.signature or len(a.universe) != len(b.universe) or \
             any(len(ts) != len(b.relations[n]) for n, ts in a.relations.items()):
         return None
@@ -828,7 +837,8 @@ def iso_check(a, b):
     order = sorted(a.universe,
                    key=lambda x: (sizes[ca[x]], repr(ca[x]), repr(x)))
     last_first = sorted(b.universe, key=repr)[::-1]
-    path = []   # (x, ys): x is paired with ys[-1], the rest are still to try
+    # (x, ys): x is paired with ys[-1], the rest are still to try
+    path = [(x, [y]) for x, y in fixed]
     while True:
         pairs = [(x, ys[-1], -1 - i) for i, (x, ys) in enumerate(path)]
         sa = _refine(table_a, {**ca, **{x: c for x, _, c in pairs}})
@@ -840,8 +850,9 @@ def iso_check(a, b):
                 path.append((x, [y for y in last_first if sb[y] == sa[x]]))
                 continue
             mapping = dict(zip(sorted(sa, key=sa.get), sorted(sb, key=sb.get)))
-            if all(tuple(map(mapping.get, t)) in b.relations[name]
-                   for name, ts in a.relations.items() for t in ts):
+            if all(mapping[x] == y for x, y in fixed) and \
+                    all(tuple(map(mapping.get, t)) in b.relations[name]
+                        for name, ts in a.relations.items() for t in ts):
                 return mapping
         while path and len(path[-1][1]) == 1:
             path.pop()

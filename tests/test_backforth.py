@@ -111,6 +111,122 @@ def answered(a, at, b, bt, side, move, gamma):
     return False
 
 
+class _ReferenceGame:
+    """An earlier game search, kept as the reference: one memo of decided
+    positions (the two tuples played and the level), recursing level by
+    level; each spoiler move is answered by a matching extension that holds
+    at the level below.  Questions reach it with the move bound covering
+    both universes, as ``bf_equiv`` requires."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.memo = {}
+
+    def equiv(self, at, bt, g):
+        if g == 0:
+            return True
+        key = (at, bt, g)
+        res = self.memo.get(key)
+        if res is None:
+            res = self.memo[key] = self.unanswered(at, bt, g) is None
+        return res
+
+    def unanswered(self, at, bt, g):
+        a, b = self.a, self.b
+        for side, src, st, dst, dt in (("a", a, at, b, bt),
+                                       ("b", b, bt, a, at)):
+            fresh = sorted(src.universe_set.difference(st), key=repr)
+            for ln in range(1, len(fresh) + 1):
+                for move in itertools.combinations(fresh, ln):
+                    mt = st + move
+                    answered = (self.equiv(mt, dt + r, g - 1) if side == "a"
+                                else self.equiv(dt + r, mt, g - 1)
+                                for r in _matching_extensions(src, st, move,
+                                                              dst, dt))
+                    if not any(answered):
+                        return side, move
+        return None
+
+
+def _reference_bf_equiv(a, atup, b, btup, gamma):
+    return fingerprint(a, atup) == fingerprint(b, btup) and \
+        _ReferenceGame(a, b).equiv(atup, btup, gamma)
+
+
+def _reference_distinguishing_move(a, atup, b, btup, gamma):
+    if _reference_bf_equiv(a, atup, b, btup, gamma):
+        return None
+    fa, fb = fingerprint(a, atup), fingerprint(b, btup)
+    if fa != fb:
+        return ("atomic", fa, fb)
+    return _ReferenceGame(a, b).unanswered(atup, btup, gamma)
+
+
+def _random_ids(rng, n):
+    kind = rng.choice(["int", "str", "mixed"])
+    ids = [i if kind == "int" or kind == "mixed" and i % 2 else f"v{i}"
+           for i in range(n)]
+    rng.shuffle(ids)
+    return ids
+
+
+def _random_question(rng):
+    """(a, atup, b, btup, gamma): finite orders, or digraphs on 1-5 vertices
+    with int, string or mixed ids, b a relabelled copy of a (perhaps with
+    one edge reversed) or drawn on its own, often of another size; tuples
+    of length 0-2 with repeats allowed, btup the image of atup or drawn on
+    its own."""
+    gamma = rng.randrange(4)
+    k = rng.randrange(3)
+    if rng.random() < 0.2:
+        a = FinLinOrder(_random_ids(rng, rng.randint(1, 5)))
+        b = FinLinOrder(_random_ids(rng, len(a.universe) + rng.randrange(2)))
+        f = dict(zip(a.elements, b.elements))
+    else:
+        n = rng.randint(1, 5)
+        ids = _random_ids(rng, n)
+        edges = [(u, v) for u in ids for v in ids
+                 if u != v and rng.random() < 0.35]
+        if rng.random() < 0.6:
+            other = _random_ids(rng, n)
+            f = dict(zip(ids, other))
+            image = [(f[u], f[v]) for u, v in edges]
+            if image and rng.random() < 0.4:
+                u, v = image.pop(rng.randrange(len(image)))
+                image.append((v, u))
+            b = Digraph(rng.sample(other, n), image)
+        else:
+            m = rng.randint(1, 5)
+            other = _random_ids(rng, m)
+            f = None
+            b = Digraph(other, [(u, v) for u in other for v in other
+                                if u != v and rng.random() < 0.35])
+        a = Digraph(ids, edges)
+    atup = tuple(rng.choice(a.universe) for _ in range(k))
+    if f is not None and all(x in f for x in atup) and rng.random() < 0.7:
+        btup = tuple(f[x] for x in atup)
+    else:
+        btup = tuple(rng.choice(b.universe) for _ in range(k))
+    return a, atup, b, btup, gamma
+
+
+def test_game_matches_reference():
+    """Verdicts and witnesses of the isomorphism-based game equal those of
+    the level-by-level game search, on seeded random questions."""
+    rng = random.Random(22)
+    kinds = set()
+    for _ in range(1500):
+        a, at, b, bt, gamma = _random_question(rng)
+        want = _reference_bf_equiv(a, at, b, bt, gamma)
+        assert bf_equiv(a, at, b, bt, gamma) == want, (a, at, b, bt, gamma)
+        move = distinguishing_move(a, at, b, bt, gamma)
+        assert move == _reference_distinguishing_move(a, at, b, bt, gamma)
+        kinds.add((want, move and move[0], min(gamma, 2)))
+    # positive verdicts at levels 0, 1 and >= 2, atomic witnesses at each,
+    # and move witnesses from either side at levels 1 and >= 2
+    assert len(kinds) == 10, kinds
+
+
 class TestMatchingExtensions:
     def test_matches_brute_force(self):
         """Every move of distinct fresh elements is answered by exactly the
@@ -231,6 +347,41 @@ class TestDistinguishingMove:
                     [("b", m) for m in spoiler_moves(b, bt)]
                 for s, m in earlier[:earlier.index((side, move))]:
                     assert answered(a, at, b, bt, s, m, gamma - 1)
+
+    def test_first_move_at_level_two_and_above(self):
+        """Past level 1 a response would be an isomorphism extending the
+        tuples, so the witness is the first fresh element of a, or of b
+        when a has none."""
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(400):
+            a, at, b, bt, gamma = _random_question(rng)
+            if gamma < 2 or fingerprint(a, at) != fingerprint(b, bt) or \
+                    bf_equiv(a, at, b, bt, gamma):
+                continue
+            fresh_a = sorted(set(a.universe) - set(at), key=repr)
+            fresh_b = sorted(set(b.universe) - set(bt), key=repr)
+            want = ("a", (fresh_a[0],)) if fresh_a else ("b", (fresh_b[0],))
+            assert distinguishing_move(a, at, b, bt, gamma) == want
+            seen.add(want[0])
+        assert distinguishing_move(FinLinOrder("xy"), ("x", "y"),
+                                   FinLinOrder("xyz"), ("x", "y"), 2) == \
+            ("b", ("z",))
+        assert seen == {"a", "b"}
+
+    @pytest.mark.parametrize("a, at, b, bt, want", [
+        (Digraph(range(12), []), (0, 1), Digraph(range(12), []), (5, 7),
+         None),
+        (Digraph(range(12), [(s + i, s + (i + 1) % 4) for s in (0, 4, 8)
+                             for i in range(4)]), (),
+         Digraph(range(12), [(s + i, s + (i + 1) % 3) for s in (0, 3, 6, 9)
+                             for i in range(3)]), (),
+         ("a", (0,)))], ids=["empty-12", "4-cycles-3-cycles"])
+    def test_scale_past_the_level_game(self, a, at, b, bt, want):
+        """Questions at level 3 that the level-by-level game could not
+        finish, answered by one isomorphism search."""
+        assert bf_equiv(a, at, b, bt, 3) == (want is None)
+        assert distinguishing_move(a, at, b, bt, 3) == want
 
     def test_none_when_equivalent(self):
         g = Digraph([0, 1], [(0, 1)])

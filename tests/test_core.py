@@ -825,6 +825,52 @@ class TestIso:
         f = iso_check(a, b)
         assert f == {2: "x", 0: "y", 1: "z"}
 
+    def test_fixed_pairs_match_brute_force(self):
+        """The mapping is an isomorphism that extends the fixed pairs, and
+        None comes back exactly when no permutation is one."""
+        rng = random.Random(22)
+        found = missed = 0
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            ids, other = _random_ids(rng, n), _random_ids(rng, n)
+            edges = [(u, v) for u in ids for v in ids
+                     if u != v and rng.random() < 0.4]
+            f = dict(zip(ids, other))
+            image = [(f[u], f[v]) for u, v in edges]
+            if image and rng.random() < 0.3:
+                u, v = image.pop()
+                image.append((v, u))
+            a, b = Digraph(ids, edges), Digraph(other, image)
+            fixed = tuple((rng.choice(ids), rng.choice(other))
+                          for _ in range(rng.randrange(3)))
+            isos = [dict(zip(ids, p)) for p in itertools.permutations(other)
+                    if {(p[ids.index(u)], p[ids.index(v)])
+                        for u, v in edges} == b.edges]
+            want = [m for m in isos if all(m[x] == y for x, y in fixed)]
+            got = iso_check(a, b, fixed)
+            if got is None:
+                missed += 1
+                assert not want, (ids, edges, other, image, fixed)
+            else:
+                found += 1
+                assert got in want
+        assert found > 100 and missed > 100
+
+    def test_conflicting_fixed_pairs(self):
+        g = Digraph(range(3), [])
+        assert iso_check(g, g, ((0, 1), (0, 2))) is None
+        assert iso_check(g, g, ((0, 1), (2, 1))) is None
+        assert iso_check(g, g, ((0, 1), (0, 1)))[0] == 1
+
+    def test_fixed_entry_outside_its_structure(self):
+        g, h = Digraph(range(3), []), Digraph(range(4), [])
+        for fixed in (((5, 0),), ((0, 5),), ((0, 0), (0, 3))):
+            with pytest.raises(PreconditionError, match="outside"):
+                iso_check(g, g, fixed)
+        # checked before the sizes are compared
+        with pytest.raises(PreconditionError, match="outside"):
+            iso_check(g, h, ((3, 0),))
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 5), st.data())
