@@ -265,12 +265,16 @@ def phi_pair(signature, n, gamma, bound):
 def interval_equiv(a, atup, b, btup, gamma):
     """Tuple equivalence in finite linear orders, interval by interval.
 
-    Returns (verdict, per-interval list of booleans).
+    Returns (verdict, per-interval list of booleans).  Two finite orders
+    are ~gamma exactly when gamma is 0 or they have the same size (an
+    isomorphism then exists, see ``bf_equiv``), so an interval's verdict
+    compares the sizes.
     """
     _check_level(gamma)
     atup, btup = tuple(atup), tuple(btup)
     if len(atup) != len(btup):
         raise PreconditionError("tuples must have equal length")
+    sizes = []
     for t, s in ((atup, a), (btup, b)):
         if not isinstance(s, FinLinOrder):
             raise PreconditionError("interval_equiv compares finite linear "
@@ -279,18 +283,7 @@ def interval_equiv(a, atup, b, btup, gamma):
         idx = [s.elements.index(x) for x in t]
         if any(i >= j for i, j in zip(idx, idx[1:])):
             raise PreconditionError("tuples must be strictly increasing")
-
-    def intervals(order, tup):
-        elems = list(order.elements)
-        cuts = [elems.index(x) for x in tup]
-        spans = []
-        prev = -1
-        for c in cuts + [len(elems)]:
-            spans.append(elems[prev + 1:c])
-            prev = c
-        return [FinLinOrder(span) for span in spans]
-
-    per = []
-    for ia, ib in zip(intervals(a, atup), intervals(b, btup)):
-        per.append(bf_equiv(ia, (), ib, (), gamma))
+        cuts = [-1, *idx, len(s.elements)]
+        sizes.append([j - i - 1 for i, j in zip(cuts, cuts[1:])])
+    per = [gamma == 0 or m == n for m, n in zip(*sizes)]
     return all(per), per

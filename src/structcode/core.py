@@ -208,8 +208,8 @@ class FinLinOrder(Structure):
 # formulas
 
 # Nodes are frozen, slotted dataclasses so formulas can be shared and hashed
-# freely, and stay small while long-lived formulas keep the join plans their
-# evaluations compiled (``Formula.plans``; see ``Evaluator``).  ``str``
+# freely, and stay small while long-lived formulas keep the plans their
+# evaluations compiled (``Formula.plan``; see ``Evaluator``).  ``str``
 # prints the s-expression that ``formats.parse_formula`` reads back.  And/Or
 # are the finitary connectives.  BigAnd/BigOr mark junctions that stand for
 # (truncations of) infinite families indexed by tuples; they evaluate
@@ -219,18 +219,11 @@ class FinLinOrder(Structure):
 class Formula:
     """Base class of the formula nodes.
 
-    ``plans``, outside ``==``, ``hash`` and ``repr``, reads None until an
-    evaluation of the node on its own stores the dict of its join plans.
-    The slot stays unset until then, so building a node does not pay for
-    it.
+    ``plan``, outside ``==``, ``hash`` and ``repr``, is unset until the
+    node's plan is compiled (see ``_plan``), so building a node does not
+    pay for it.
     """
-    __slots__ = ("plans",)
-
-    def __getattr__(self, name):
-        if name == "plans":
-            return None
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
+    __slots__ = ("plan",)
 
     def __str__(self):
         t = type(self)
@@ -345,15 +338,11 @@ def _holds(test, env, s):
     quantifier ``(plan, want)`` of ``rest`` runs to ``want``."""
     literals, negated, rest = test
     relations = s.relations
-    try:
-        for getter, name, want in literals:
-            vals = getter(env)
-            if (vals in relations[name] if name is not None
-                    else vals[0] == vals[1]) != want:
-                return False
-    except KeyError:
-        # the getters read bound variables only, so the relation is unknown
-        raise EvalError(f"unknown relation {name!r}") from None
+    for getter, name, want in literals:
+        vals = getter(env)
+        if (vals in relations[name] if name is not None
+                else vals[0] == vals[1]) != want:
+            return False
     for n in negated:
         if _holds(n, env, s):
             return False
@@ -366,20 +355,20 @@ def _holds(test, env, s):
 def _run(plan, env, s):
     """The truth in ``s`` of the formula of ``plan`` (see ``_plan``) under
     ``env``, where its quantified variables shadow their outer bindings."""
-    forall, vs, pre, steps, leftovers = plan
+    forall, vs, _, _, pre, steps = plan
     saved = None if env.keys().isdisjoint(vs) else \
         {v: env.pop(v) for v in vs if v in env}
-    found = _holds(pre, env, s) and _search(steps, 0, leftovers, env, s)
+    found = _holds(pre, env, s) and _search(steps, 0, env, s)
     if saved:
         env.update(saved)
     return found != forall
 
 
-def _search(steps, i, leftovers, env, s):
+def _search(steps, i, env, s):
     """Whether values for the variables of ``steps[i:]`` satisfy their
-    checks and then ``leftovers``; see ``_join_plan``."""
+    checks; see ``_plan``."""
     if i == len(steps):
-        return _holds(leftovers, env, s)
+        return True
     var, cand, literals, more = steps[i]
     if cand is None:
         values = s.universe
@@ -391,19 +380,16 @@ def _search(steps, i, leftovers, env, s):
     relations = s.relations
     for val in values:
         env[var] = val
-        try:
-            for getter, name, want in literals:
-                vals = getter(env)
-                if (vals in relations[name] if name is not None
-                        else vals[0] == vals[1]) != want:
-                    break
-            else:
-                if (more is None or _holds(more, env, s)) and \
-                        _search(steps, i + 1, leftovers, env, s):
-                    del env[var]
-                    return True
-        except KeyError:
-            raise EvalError(f"unknown relation {name!r}") from None
+        for getter, name, want in literals:
+            vals = getter(env)
+            if (vals in relations[name] if name is not None
+                    else vals[0] == vals[1]) != want:
+                break
+        else:
+            if (more is None or _holds(more, env, s)) and \
+                    _search(steps, i + 1, env, s):
+                del env[var]
+                return True
     env.pop(var, None)
     return False
 
@@ -421,8 +407,8 @@ def _values_of(args):
 @functools.lru_cache(maxsize=4096)
 def _shared(part):
     """One object for equal plan parts (literal tuples, candidates, steps,
-    literal-only conjunctions, sets of outer variables), so that the plans
-    kept on formula nodes share them instead of holding copies."""
+    literal-only conjunctions), so that the plans kept on formula nodes
+    share them instead of holding copies."""
     return part
 
 
@@ -439,19 +425,29 @@ def _literal(atom, want):
         atom.name if type(atom) is Rel else None, want
 
 
-def _qf_vars(phi, out):
-    """Add the variables of ``phi`` to the set ``out``; False when ``phi``
-    is not a quantifier-free formula."""
+def _free(phi, out, rels):
+    """Add the free variables of ``phi`` to the dict ``out`` and the names
+    of the relations it reads to the dict ``rels``, both in order of first
+    occurrence, and return ``out``.  A quantifier adds those of its plan,
+    which this compiles; anything that is not a formula node raises
+    EvalError."""
     t = type(phi)
     if t is Rel or t is Eq:
-        out.update(_args(phi))
+        out.update(dict.fromkeys(_args(phi)))
+        if t is Rel:
+            rels[phi.name] = None
     elif t is Not:
-        return _qf_vars(phi.body, out)
+        _free(phi.body, out, rels)
     elif t in _JUNCTIONS:
-        return all(_qf_vars(p, out) for p in phi.parts)
+        for p in phi.parts:
+            _free(p, out, rels)
+    elif t is Exists or t is Forall:
+        _, _, free, used, _, _ = _plan(phi)
+        out.update(dict.fromkeys(free))
+        rels.update(dict.fromkeys(used))
     else:
-        return False
-    return True
+        raise EvalError(f"not a formula node type: {t.__name__}")
+    return out
 
 
 def _learn(known, literals):
@@ -462,82 +458,84 @@ def _learn(known, literals):
             known.add((Eq(c.right, c.left), want))
 
 
-def _compile(conjuncts, bound, known):
+def _compile(conjuncts, known):
     """The compiled conjunction ``(literals, negated, rest)`` of
     ``conjuncts`` (see ``_holds``), leaving out the literals in ``known``,
     which hold wherever it is checked.
 
-    A literal over ``bound`` variables is compiled by ``_literal``.  A
-    junction conjunct holds when the conjunction of its negated parts fails,
-    so ``negated`` gets that conjunction, compiled knowing this one's
-    literals.  A quantifier ``c`` enters ``rest`` as its plan ``_plan(c,
-    bound - c.vars)``, compiled here.  A literal with an unbound variable,
-    or anything that is not a formula node, raises EvalError.
+    A literal is compiled by ``_literal``.  A junction conjunct holds when
+    the conjunction of its negated parts fails, so ``negated`` gets that
+    conjunction, compiled knowing this one's literals.  A quantifier ``c``
+    enters ``rest`` as its own plan ``_plan(c)``.
     """
     literals, junctions, rest = [], [], []
     for c, want in conjuncts:
         t = type(c)
-        if (t is Rel or t is Eq) and bound.issuperset(_args(c)):
+        if t is Rel or t is Eq:
             if (c, want) not in known:
                 literals.append((c, want))
         elif t in _JUNCTIONS:
             junctions.append((c, want))
-        elif t is Exists or t is Forall:
-            rest.append((_plan(c, frozenset(bound).difference(c.vars)), want))
-        elif t is Rel or t is Eq:
-            v = next(a for a in _args(c) if a not in bound)
-            raise EvalError(f"unbound variable {v!r}")
         else:
-            raise EvalError(f"not a formula node type: {t.__name__}")
+            rest.append((_plan(c), want))
     if junctions and literals:
         known = set(known)
         _learn(known, literals)
     test = (_shared(tuple(_literal(c, w) for c, w in literals)),
-            tuple(_compile(_conjuncts(c, not w, []), bound, known)
+            tuple(_compile(_conjuncts(c, not w, []), known)
                   for c, w in junctions),
             tuple(rest))
     return test if junctions or rest else _shared(test)
 
 
-def _join_plan(todo, conjuncts, outer):
-    """Backtracking plan for finding values of ``todo`` satisfying ``conjuncts``.
+def _plan(phi):
+    """The plan of ``phi``, compiled once and kept on the node (``plan``):
+    a backtracking search for values of its quantified variables that
+    satisfy the conjuncts of its body.  A node other than a quantifier runs
+    as one over no variables, over its own conjuncts; ``_run`` runs it.
 
-    ``outer`` is the set of variables bound outside.  Returns ``(pre, steps,
-    leftovers)``: ``pre`` is the compiled conjunction (see ``_compile``) of
-    the conjuncts the outer variables decide; ``steps`` binds the variables
-    of ``todo`` in order, each as ``(var, candidates, literals, more)``,
-    where the candidates are the whole universe (None), the value of an
-    equal variable (``("eq", other)``) or the ``slot`` entries of a relation
+    The plan is ``(forall, vars, free, rels, pre, steps)``.  ``free`` and
+    ``rels`` are the node's free variables and the relations it reads,
+    nested quantifiers included, as tuples in order of first occurrence.
+    ``pre`` is the compiled conjunction (see ``_compile``) of the conjuncts
+    the free variables decide.  ``steps`` binds the quantified variables in
+    order, each as ``(var, candidates, literals, more)``, where the
+    candidates are the whole universe (None), the value of an equal
+    variable (``("eq", other)``) or the ``slot`` entries of a relation
     index lookup (``("rel", name, positions, getter, slot)``, ``getter(env)``
     giving the values at the bound ``positions``), and ``literals`` and
     ``more`` (None, or a compiled conjunction without literals) the
-    conjuncts decided once ``var`` is bound; ``leftovers``, a compiled
-    conjunction checked once every variable is bound, holds the conjuncts
-    with a quantifier.
+    conjuncts decided once ``var`` is bound.
 
-    Each quantifier-free conjunct, literal or not (such as a clause), is
-    checked at the step that binds its last variable (selection pushdown),
-    and compiled knowing the literals checked before it (``_compile``).
-    ``_search`` checks a step's literals in line, so a step with nothing
-    more does no more work per candidate than its literals.
+    Every conjunct, literal, clause or quantifier, is checked at the step
+    that binds its last free variable (selection pushdown), and compiled
+    knowing the literals checked before it.  ``_search`` checks a step's
+    literals in line, so a step with nothing more does no more work per
+    candidate than its literals.
     """
-    level = dict.fromkeys(outer, -1)
-    level.update((v, i) for i, v in enumerate(todo))
+    plan = getattr(phi, "plan", None)
+    if plan is not None:
+        return plan
+    t = type(phi)
+    quant = t is Exists or t is Forall
+    forall = t is Forall
+    vs = phi.vars if quant else ()
+    todo = tuple(dict.fromkeys(vs))
+    level = {v: i for i, v in enumerate(todo)}
     unbound = len(todo)
     cands = [None] * unbound
-    # the conjuncts decided at each step, then those the outer variables
-    # decide (at index -1) and the leftovers (at index ``unbound``)
-    placed = [[] for _ in range(unbound + 2)]
+    # the conjuncts decided at each step, then those the free variables
+    # decide (at index -1)
+    placed = [[] for _ in range(unbound + 1)]
     # literals that hold wherever they could be checked
     known = set()
-    for c, want in conjuncts:
+    free, rels = {}, {}
+    for c, want in _conjuncts(phi.body if quant else phi, not forall, []):
+        args = _free(c, {}, rels)
+        free.update((a, None) for a in args if a not in level)
+        i = max((level.get(a, -1) for a in args), default=-1)
         t = type(c)
-        args = set()
-        if not _qf_vars(c, args):
-            placed[unbound].append((c, want))
-            continue
-        i = max((level.get(a, unbound) for a in args), default=-1)
-        if 0 <= i < unbound and want and cands[i] is None and \
+        if i >= 0 and want and cands[i] is None and \
                 (t is Rel or t is Eq) and _args(c).count(todo[i]) == 1:
             # a positive literal on one new variable yields exactly the
             # values that satisfy it, so it need not be checked again
@@ -554,36 +552,17 @@ def _join_plan(todo, conjuncts, outer):
             _learn(known, [(c, want)])
             continue
         placed[i].append((c, want))
-    bound, tests = set(level), []
-    for i in range(-1, unbound + 1):
-        tests.append(_compile(placed[i], bound, known))
+    tests = []
+    for i in range(-1, unbound):
+        tests.append(_compile(placed[i], known))
         _learn(known, [(c, w) for c, w in placed[i] if type(c) in (Rel, Eq)])
-    pre, *tests, leftovers = tests
+    pre, *tests = tests
     steps = tuple(_shared((var, cand, literals,
                            ((), negated, rest) if negated or rest else None))
                   for var, cand, (literals, negated, rest)
                   in zip(todo, cands, tests))
-    return pre, steps, leftovers
-
-
-def _plan(phi, outer):
-    """The plan ``(forall, vars, pre, steps, leftovers)`` of ``phi`` with
-    the variables of ``outer`` bound outside (a node other than a
-    quantifier runs as one over no variables), compiled once and kept on
-    the node; see ``_join_plan``.  ``_run`` runs it."""
-    plans = getattr(phi, "plans", None)
-    plan = plans and plans.get(outer)
-    if not plan:
-        t = type(phi)
-        quant = t is Exists or t is Forall
-        forall = t is Forall
-        vs = phi.vars if quant else ()
-        plan = (forall, vs) + _join_plan(tuple(dict.fromkeys(vs)), _conjuncts(
-            phi.body if quant else phi, not forall, []), outer)
-        if plans is None:
-            plans = {}
-            object.__setattr__(phi, "plans", plans)
-        plans[_shared(outer)] = plan
+    plan = (forall, vs, tuple(free), tuple(rels), pre, steps)
+    object.__setattr__(phi, "plan", plan)
     return plan
 
 
@@ -596,21 +575,22 @@ class Evaluator:
     disjuncts that excuse repeated elements become distinctness checks
     that prune the search.  Variables are bound one at a time, drawing
     values from a relation index or an equality where a positive literal
-    allows, and each quantifier-free conjunct is checked as soon as it is
-    decided (see ``_join_plan``).
+    allows, and each conjunct is checked as soon as it is decided (see
+    ``_plan``).
 
     ``eval`` runs any node this way: a node other than a quantifier as one
     with no variables, over its own conjuncts.  A plan is a closed tree
-    that holds the plan of each quantifier in it, compiled with it, so a
-    literal with an unbound variable anywhere in the formula raises
-    EvalError, whatever the data; ``_run``, ``_search`` and ``_holds`` run it.
+    that holds the plan of each quantifier in it, and lists the free
+    variables and relations of the whole tree, so ``eval`` raises
+    EvalError for an unbound variable, an unknown relation or a non-node
+    anywhere in the formula before the search starts, whatever the data;
+    ``_run``, ``_search`` and ``_holds`` run it.
 
-    Plans depend on the formula alone, so they are compiled once per node
-    and set of bound outer variables and kept on the node (``plans``),
-    shared by every evaluator and structure the formula meets.  Every node
-    evaluated at the top or as a quantifier keeps its plans; the other
-    nodes are compiled into those plans.  An evaluator holds only its
-    structure; it keeps no cache.
+    A plan depends on its node alone, so it is compiled once and kept on
+    the node (``plan``), shared by every evaluator and structure the
+    formula meets.  Every node evaluated at the top or as a quantifier
+    keeps its plan; the other nodes are compiled into those plans.  An
+    evaluator holds only its structure; it keeps no cache.
     """
 
     def __init__(self, structure):
@@ -618,9 +598,14 @@ class Evaluator:
 
     def eval(self, phi, env=None):
         env = dict(env or {})
-        # quantified variables shadow outer bindings of the same name
-        vs = phi.vars if type(phi) in (Exists, Forall) else ()
-        return _run(_plan(phi, frozenset(env).difference(vs)), env, self.s)
+        _, _, free, rels, _, _ = plan = _plan(phi)
+        for v in free:
+            if v not in env:
+                raise EvalError(f"unbound variable {v!r}")
+        for name in rels:
+            if name not in self.s.relations:
+                raise EvalError(f"unknown relation {name!r}")
+        return _run(plan, env, self.s)
 
 
 def eval_formula(structure, phi, env=None):

@@ -150,19 +150,20 @@ class MarkerStreamDecoder:
         # module's formulas
         self._ev = Evaluator(self.g)
 
-    def _ball(self, seeds, radius):
-        seen = set(seeds)
-        frontier = deque((s, 0) for s in seeds)
+    def _distances(self, seeds, radius):
+        """The distance from ``seeds`` of each vertex within ``radius``."""
+        dist = dict.fromkeys(seeds, 0)
+        frontier = deque(seeds)
         adj = self.g.index("E", (0,))
         while frontier:
-            v, d = frontier.popleft()
-            if d == radius:
+            v = frontier.popleft()
+            if dist[v] == radius:
                 continue
             for _, w in adj.get((v,), ()):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append((w, d + 1))
-        return seen
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    frontier.append(w)
+        return dist
 
     def feed(self, fact):
         if not fact or {"v": 2, "e": 3}.get(fact[0]) != len(fact):
@@ -174,16 +175,19 @@ class MarkerStreamDecoder:
         if u == v:
             raise MalformedInputError(f"self-loop at {u!r} not allowed")
         self.g.add((u, v), [("E", (u, v)), ("E", (v, u))])
+        dist = self._distances((u, v), 4)
         # a new edge can only create base points within distance two of it
-        new = sorted((x for x in self._ball({u, v}, 2) if x not in self.bases
-                      and self._ev.eval(_BASE_POINT, {"x": x})), key=ident_key)
+        new = sorted((x for x, d in dist.items() if d <= 2 and
+                      x not in self.bases and
+                      self._ev.eval(_BASE_POINT, {"x": x})), key=ident_key)
         self.bases.update(dict.fromkeys(new))
         out = [("v", x) for x in new]
-        # and new coded edges whose witness square uses the edge; the whole
-        # witness sits within distance five of either endpoint
-        near = self._ball({u, v}, 5)
+        # and new coded edges: those of a new base point, and those whose
+        # witness x-p-c-y, p-s1, s1..s4 uses the edge, which puts x within
+        # distance three and y within distance four of it
         for x, y in itertools.permutations(self.bases, 2):
-            if (x, y) in self.emitted_edges or (x not in near and y not in near):
+            if (x, y) in self.emitted_edges or not (
+                    x in new or y in new or dist.get(x, 4) <= 3 and y in dist):
                 continue
             if self._ev.eval(_SQUARE, {"x": x, "y": y}):
                 self.emitted_edges.add((x, y))

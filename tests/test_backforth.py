@@ -466,6 +466,25 @@ class TestIntervalEquiv:
             assert verdict == bf_equiv(a, ta, b, tb, gamma)
             assert len(pieces) == len(ta) + 1
 
+    def test_matches_game_on_each_interval(self):
+        # the same per-interval verdicts as bf_equiv on the sub-orders
+        orders = [FinLinOrder(range(n)) for n in range(7)]
+        rng = random.Random(5)
+        for _ in range(300):
+            a, b = rng.choice(orders), rng.choice(orders)
+            k = rng.randrange(min(len(a.elements), len(b.elements)) + 1)
+            ta = tuple(sorted(rng.sample(a.elements, k)))
+            tb = tuple(sorted(rng.sample(b.elements, k)))
+            gamma = rng.randrange(3)
+
+            def intervals(order, tup):
+                cuts = [-1, *tup, len(order.elements)]
+                return [FinLinOrder(range(i + 1, j))
+                        for i, j in zip(cuts, cuts[1:])]
+            want = [bf_equiv(ia, (), ib, (), gamma) for ia, ib in
+                    zip(intervals(a, ta), intervals(b, tb))]
+            assert interval_equiv(a, ta, b, tb, gamma) == (all(want), want)
+
     def test_mismatched_tuple_lengths(self):
         a = FinLinOrder(range(3))
         with pytest.raises(PreconditionError):

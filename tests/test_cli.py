@@ -67,8 +67,8 @@ GOLDEN_CASES = {
 # specs nested past Python's recursion limit: 5,000 nested nots do not
 # convert to a formula, 400 nested existentials convert but do not compile
 DEEP_NOT = "(domain 1 " + "(not " * 5000 + "(E x1 x1)" + ")" * 5000 + ")\n"
-DEEP_EXISTS = "(domain 1 " + "(exists (y) " * 400 + "(E x1 x1)" + \
-    ")" * 400 + ")\n"
+DEEP_EXISTS = "(domain 1 " + "(exists (y) " * 700 + "(E x1 x1)" + \
+    ")" * 700 + ")\n"
 
 
 def _stdin(data):

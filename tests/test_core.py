@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from structcode.core import (And, BigAnd, BigOr, Digraph, Eq, EvalError,
                              Evaluator, Exists, FinLinOrder, Forall,
                              LoopedDigraph, Not, Or, PreconditionError, Rel,
-                             Structure, UGraph, _conjuncts, _join_plan,
-                             _literal, _refine_colors,
+                             Structure, UGraph, _literal, _plan,
+                             _refine_colors,
                              atom_places, atomic_type_of, classify, conj,
                              disj, distinct_all, eval_formula, fingerprint,
                              iso_check, tuples_of_type, type_count,
@@ -161,8 +161,9 @@ class TestEvaluator:
         with pytest.raises(EvalError):
             eval_formula(path3(), And((Eq("x", "x"), "not a node")), {"x": 0})
 
-    # every literal is compiled before anything is checked, so no other
-    # conjunct or disjunct decides these formulas before the bad literal
+    # a plan lists its free variables and relations, and they are checked
+    # before the search starts, so no other conjunct or disjunct decides
+    # these formulas before the bad literal
     @pytest.mark.parametrize("phi, message", [
         (And((Not(Eq("x", "x")), Rel("E", ("x", "z")))), "unbound variable 'z'"),
         (Or((Eq("x", "x"), Rel("E", ("x", "z")))), "unbound variable 'z'"),
@@ -177,10 +178,19 @@ class TestEvaluator:
          "unbound variable 'z'"),
         (And((Not(Eq("x", "x")), Exists(("y",), Or((Eq("x", "x"),
                                                     Rel("E", ("y", "z"))))))),
-         "unbound variable 'z'")])
+         "unbound variable 'z'"),
+        (Or((Eq("x", "x"), Rel("F", ("x",)))), "unknown relation 'F'"),
+        (And((Not(Eq("x", "x")), Exists(("y",), Rel("F", ("y",))))),
+         "unknown relation 'F'"),
+        (And((Not(Eq("x", "x")), Exists(("y",), Or((Eq("x", "x"),
+                                                    Rel("F", ("y",))))))),
+         "unknown relation 'F'")])
     def test_unevaluable_raises_whatever_the_data(self, phi, message):
-        with pytest.raises(EvalError, match=message):
-            eval_formula(path3(), phi, {"x": 0})
+        # and where x ranges over an empty universe, so nothing is searched
+        for s, f, env in ((path3(), phi, {"x": 0}),
+                          (Digraph([], []), Exists(("x",), phi), {})):
+            with pytest.raises(EvalError, match=message):
+                eval_formula(s, f, env)
 
     def test_empty_quantifiers(self):
         # a quantifier over no variables is its body, not its own conjunct
@@ -360,12 +370,12 @@ class TestFormulaNodes:
     def test_plans_do_not_change_node_semantics(self):
         phi = _every_node_type()
         assert eval_formula(path3(), phi, {"y": 2}) is False
-        assert phi.plans and phi.body.parts[1].parts[0].plans
+        assert phi.plan and phi.body.parts[1].parts[0].plan
         fresh = _every_node_type()
-        assert not fresh.plans
+        assert getattr(fresh, "plan", None) is None
         assert phi == fresh and hash(phi) == hash(fresh)
         assert str(phi) == str(fresh) and repr(phi) == repr(fresh)
-        assert "plans" not in repr(phi)
+        assert "plan" not in repr(phi)
 
     def test_nodes_are_slotted(self):
         nodes = list(_nodes(_every_node_type()))
@@ -373,27 +383,29 @@ class TestFormulaNodes:
         for n in nodes:
             assert not hasattr(n, "__dict__")
 
-    def test_one_plan_per_set_of_bound_variables(self):
-        # the plan for a bound x reads x's index; with x unbound the same
-        # node must still raise EvalError, not reuse that plan
+    def test_one_plan_per_node(self):
+        # the plan reads x's index, so it lists x as free; with x unbound
+        # the same plan must raise EvalError, not run
         phi = Exists(("y",), Rel("E", ("x", "y")))
+        plans = []
         for env in ({"x": 0}, {}, {"x": 2}, {"z": 0}):
             if "x" in env:
                 assert eval_formula(path3(), phi, env) is (env["x"] == 0)
             else:
-                with pytest.raises(EvalError):
+                with pytest.raises(EvalError, match="unbound variable 'x'"):
                     eval_formula(path3(), phi, env)
-        assert set(phi.plans) == {frozenset({"x"})}
+            plans.append(phi.plan)
+        assert all(p is plans[0] for p in plans)
+        assert plans[0][2:4] == (("x",), ("E",))
 
     def test_top_level_plans_are_kept(self):
         marker_decode(marker_encode(path3()).graph)
-        assert set(marker._SQUARE.plans) == {frozenset({"x", "y"})}
+        assert marker._SQUARE.plan[2:4] == (("x", "y"), ("E",))
         phi = BigAnd((Rel("E", ("x", "y")), Not(Eq("x", "y"))))
         assert eval_formula(path3(), phi, {"x": 0, "y": 1}) is True
-        (plan,) = phi.plans.values()
+        plan = phi.plan
         assert eval_formula(path3(), phi, {"x": 1, "y": 0}) is False
-        (again,) = phi.plans.values()
-        assert again is plan
+        assert phi.plan is plan
 
     def test_evaluator_holds_only_its_structure(self):
         s = path3()
@@ -408,26 +420,38 @@ class TestJoinPlan:
             return Or((Not(Rel("E", ("x", "x"))), Rel("E", vs)))
         body = And((clause("x", "x"), clause("y", "x"), clause("z", "y"),
                     Eq("y", "y")))
-        pre, (y_step, z_step), leftovers = _join_plan(
-            ("y", "z"), _conjuncts(body, True, []), {"x"})
+        _, _, free, _, pre, (y_step, z_step) = _plan(Exists(("y", "z"), body))
+        assert free == ("x",)
         assert pre[0] == () and len(pre[1]) == 1 and pre[2] == ()
         for var, step in (("y", y_step), ("z", z_step)):
             assert step[0] == var
             literals, negated, rest = step[3]
             assert literals == () and len(negated) == 1 and rest == ()
-        assert leftovers == ((), (), ())
         # a step with no clause checks its literals alone
-        _, (step,), _ = _join_plan(("y",), [(Eq("y", "y"), True)], {"x"})
+        *_, (step,) = _plan(Exists(("y",), Eq("y", "y")))
         assert len(step[2]) == 1 and step[3] is None
+
+    def test_quantifiers_run_at_the_step_that_decides_them(self):
+        g = Digraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        inner = Exists(("w",), Rel("E", ("y", "w")))
+        phi = Exists(("y", "z"), And((Rel("E", ("x", "z")), inner,
+                                      Not(Eq("y", "z")))))
+        *_, (y_step, z_step) = _plan(phi)
+        assert y_step[3] == ((), (), ((inner.plan, True),))
+        assert len(z_step[2]) == 1 and z_step[3] is None
+        for x in g.universe:
+            expect = any(g.rel("E", (x, z)) and y != z and
+                         any(g.rel("E", (y, w)) for w in g.universe)
+                         for y in g.universe for z in g.universe)
+            assert eval_formula(g, phi, {"x": x}) == expect
 
     @pytest.mark.parametrize("gamma", [1, 2])
     def test_negated_move_diagrams_skip_implied_distinctness(self, gamma):
         g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
         leaf = next(p for p in phi_tuple(g, (0, 1), gamma).parts
                     if type(p) is Forall and p.vars == ("x3",))
-        outer = frozenset({"x1", "x2"})
-        _, (step,), leftovers = _join_plan(
-            leaf.vars, _conjuncts(leaf.body, False, []), outer)
+        _, _, free, _, _, (step,) = _plan(leaf)
+        assert free == ("x1", "x2")
         # the plan checks x3 != x1 and x3 != x2 before the move's diagram,
         # which keeps only x1 != x2 of its distinctness prefix
         distinct = {_literal(Eq("x3", "x1"), False),
@@ -441,21 +465,20 @@ class TestJoinPlan:
         if gamma == 1:
             # a quantifier-free conjunct: checked at the step of x3
             assert step[3] == ((), ((kept, (), ()),), ())
-            assert leftovers == ((), (), ())
         else:
-            # the move's level-1 formula has quantifiers: a leftover, whose
-            # diagram is compiled and checked before the plans of its
-            # quantifiers, which are the plans kept on their nodes
-            assert step[3] is None
+            # the move's level-1 formula has quantifiers, and is checked at
+            # the step of x3 too: its diagram is compiled and checked before
+            # the plans of its quantifiers, which are the plans kept on
+            # their nodes
             (sub,) = [p for p in leaf.body.parts if type(p) is BigAnd]
             assert sub.parts[0] == move
-            assert leftovers[0] == () and leftovers[2] == ()
-            (literals, negated, rest), = leftovers[1]
+            assert step[3][0] == () and step[3][2] == ()
+            (literals, negated, rest), = step[3][1]
             assert literals == kept and negated == ()
             assert rest and len(rest) == len(sub.parts) - 1
             for (plan, want), p in zip(rest, sub.parts[1:]):
                 assert want is True
-                assert plan is p.plans[(outer | {"x3"}).difference(p.vars)]
+                assert plan is p.plan
 
 
 # ---------------------------------------------------------------------------

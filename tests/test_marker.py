@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 from structcode.core import (Digraph, Evaluator, LoopedDigraph,
-                             MalformedInputError, PreconditionError, UGraph,
-                             classify, iso_check)
+                             MalformedInputError, PreconditionError, Structure,
+                             UGraph, classify, ident_key, iso_check)
 from structcode.marker import (MarkerStreamDecoder, base_point_formula,
                                diagram_facts, marker_decode, marker_encode,
                                pentagon_formula, relabel_decoded,
@@ -104,7 +105,67 @@ class TestFormulas:
             assert ev.eval(pent, env) == (not g.rel("E", (a, b)))
 
 
+class ReferenceStreamDecoder:
+    """The stream decoder's earlier rule, kept as the reference: after an
+    edge, every unemitted base pair with an entry within distance five of
+    it is tested."""
+
+    BASE, SQUARE = base_point_formula(), square_formula()
+
+    def __init__(self):
+        self.g = Structure((), {"E": 2}, {})
+        self.bases, self.emitted = {}, set()
+        self.ev = Evaluator(self.g)
+
+    def ball(self, seeds, radius):
+        seen = set(seeds)
+        frontier = deque((s, 0) for s in seeds)
+        while frontier:
+            v, d = frontier.popleft()
+            if d < radius:
+                for _, w in self.g.matches("E", (v, None)):
+                    if w not in seen:
+                        seen.add(w)
+                        frontier.append((w, d + 1))
+        return seen
+
+    def feed(self, fact):
+        if fact[0] == "v":
+            self.g.add(fact[1:])
+            return []
+        _, u, v = fact
+        self.g.add((u, v), [("E", (u, v)), ("E", (v, u))])
+        new = sorted((x for x in self.ball({u, v}, 2) if x not in self.bases
+                      and self.ev.eval(self.BASE, {"x": x})), key=ident_key)
+        self.bases.update(dict.fromkeys(new))
+        out = [("v", x) for x in new]
+        near = self.ball({u, v}, 5)
+        for x, y in itertools.permutations(self.bases, 2):
+            if (x, y) not in self.emitted and (x in near or y in near) and \
+                    self.ev.eval(self.SQUARE, {"x": x, "y": y}):
+                self.emitted.add((x, y))
+                out.append(("e", x, y))
+        return out
+
+
 class TestStream:
+    @pytest.mark.parametrize("name", [lambda v: v,
+                                      lambda v: v if v % 3 else f"v{v}"],
+                             ids=["int", "int-and-str"])
+    def test_feeds_match_reference(self, name):
+        # every fact's output, in order, on shuffled streams that may
+        # announce a vertex by an edge before its own fact
+        rng = random.Random(19)
+        for n in range(1, 6):
+            for _ in range(4):
+                code = marker_encode(random_digraph(rng, n))
+                facts = [(f[0], *map(name, f[1:]))
+                         for f in diagram_facts(code.graph)]
+                rng.shuffle(facts)
+                dec, ref = MarkerStreamDecoder(), ReferenceStreamDecoder()
+                for fact in facts:
+                    assert dec.feed(fact) == ref.feed(fact)
+
     def test_incremental_matches_batch(self):
         rng = random.Random(11)
         g = random_digraph(rng, 3)
