@@ -372,10 +372,8 @@ def _search(steps, i, env, s):
     var, cand, literals, more = steps[i]
     if cand is None:
         values = s.universe
-    elif cand[0] == "eq":
-        values = (env[cand[1]],)
     else:
-        _, rel, positions, args, slot = cand
+        rel, positions, args, slot = cand
         values = [t[slot] for t in s.index(rel, positions).get(args(env), ())]
     relations = s.relations
     for val in values:
@@ -406,8 +404,8 @@ def _values_of(args):
 
 @functools.lru_cache(maxsize=4096)
 def _shared(part):
-    """One object for equal plan parts (literal tuples, candidates, steps,
-    literal-only conjunctions), so that the plans kept on formula nodes
+    """The one intern table of the plans: one object for equal compiled
+    literals and for equal steps, so that the plans kept on formula nodes
     share them instead of holding copies."""
     return part
 
@@ -416,13 +414,12 @@ def _args(atom):
     return atom.args if type(atom) is Rel else (atom.left, atom.right)
 
 
-@functools.lru_cache(maxsize=1024)
 def _literal(atom, want):
     """The compiled literal ``(getter, relation name or None for =, want)``
     of a Rel or Eq node, ``getter(env)`` giving its argument values, shared
     by every plan that checks it."""
-    return _values_of(_args(atom)), \
-        atom.name if type(atom) is Rel else None, want
+    return _shared((_values_of(_args(atom)),
+                    atom.name if type(atom) is Rel else None, want))
 
 
 def _free(phi, out, rels):
@@ -481,11 +478,10 @@ def _compile(conjuncts, known):
     if junctions and literals:
         known = set(known)
         _learn(known, literals)
-    test = (_shared(tuple(_literal(c, w) for c, w in literals)),
+    return (tuple(_literal(c, w) for c, w in literals),
             tuple(_compile(_conjuncts(c, not w, []), known)
                   for c, w in junctions),
             tuple(rest))
-    return test if junctions or rest else _shared(test)
 
 
 def _plan(phi):
@@ -500,12 +496,12 @@ def _plan(phi):
     ``pre`` is the compiled conjunction (see ``_compile``) of the conjuncts
     the free variables decide.  ``steps`` binds the quantified variables in
     order, each as ``(var, candidates, literals, more)``, where the
-    candidates are the whole universe (None), the value of an equal
-    variable (``("eq", other)``) or the ``slot`` entries of a relation
-    index lookup (``("rel", name, positions, getter, slot)``, ``getter(env)``
-    giving the values at the bound ``positions``), and ``literals`` and
-    ``more`` (None, or a compiled conjunction without literals) the
-    conjuncts decided once ``var`` is bound.
+    candidates are the whole universe (None) or the ``slot`` entries of a
+    relation index lookup (``(name, positions, getter, slot)``,
+    ``getter(env)`` giving the values at the bound ``positions``), and
+    ``literals`` and ``more`` (None, or a compiled conjunction without
+    literals) the conjuncts decided once ``var`` is bound.  An equality is
+    always a literal.
 
     Every conjunct, literal, clause or quantifier, is checked at the step
     that binds its last free variable (selection pushdown), and compiled
@@ -527,32 +523,24 @@ def _plan(phi):
     # the conjuncts decided at each step, then those the free variables
     # decide (at index -1)
     placed = [[] for _ in range(unbound + 1)]
-    # literals that hold wherever they could be checked
-    known = set()
     free, rels = {}, {}
     for c, want in _conjuncts(phi.body if quant else phi, not forall, []):
         args = _free(c, {}, rels)
         free.update((a, None) for a in args if a not in level)
         i = max((level.get(a, -1) for a in args), default=-1)
-        t = type(c)
-        if i >= 0 and want and cands[i] is None and \
-                (t is Rel or t is Eq) and _args(c).count(todo[i]) == 1:
-            # a positive literal on one new variable yields exactly the
-            # values that satisfy it, so it need not be checked again
-            var, args = todo[i], _args(c)
-            if t is Eq:
-                cands[i] = ("eq", args[1] if args[0] == var else args[0])
-            else:
-                slot = args.index(var)
-                cands[i] = _shared((
-                    "rel", c.name,
-                    tuple(j for j in range(len(args)) if j != slot),
-                    _values_of(args[:slot] + args[slot + 1:]), slot))
-            # it holds wherever a literal over ``var`` can be checked
-            _learn(known, [(c, want)])
+        if i >= 0 and want and cands[i] is None and type(c) is Rel and \
+                c.args.count(todo[i]) == 1:
+            # a positive relation literal on one new variable yields exactly
+            # the values that satisfy it, so it need not be checked again
+            args = c.args
+            slot = args.index(todo[i])
+            cands[i] = (c.name, tuple(j for j in range(len(args)) if j != slot),
+                        _values_of(args[:slot] + args[slot + 1:]), slot)
             continue
         placed[i].append((c, want))
     tests = []
+    # the literals checked at the steps compiled so far
+    known = set()
     for i in range(-1, unbound):
         tests.append(_compile(placed[i], known))
         _learn(known, [(c, w) for c, w in placed[i] if type(c) in (Rel, Eq)])
@@ -574,9 +562,8 @@ class Evaluator:
     body)`` as not-exists-not, over its negated disjuncts, so the ``Eq``
     disjuncts that excuse repeated elements become distinctness checks
     that prune the search.  Variables are bound one at a time, drawing
-    values from a relation index or an equality where a positive literal
-    allows, and each conjunct is checked as soon as it is decided (see
-    ``_plan``).
+    values from a relation index where a positive literal allows, and each
+    conjunct is checked as soon as it is decided (see ``_plan``).
 
     ``eval`` runs any node this way: a node other than a quantifier as one
     with no variables, over its own conjuncts.  A plan is a closed tree
@@ -584,7 +571,8 @@ class Evaluator:
     variables and relations of the whole tree, so ``eval`` raises
     EvalError for an unbound variable, an unknown relation or a non-node
     anywhere in the formula before the search starts, whatever the data;
-    ``_run``, ``_search`` and ``_holds`` run it.
+    ``_run``, ``_search`` and ``_holds`` run it.  A formula nested past
+    Python's recursion limit raises EvalError too.
 
     A plan depends on its node alone, so it is compiled once and kept on
     the node (``plan``), shared by every evaluator and structure the
@@ -598,14 +586,18 @@ class Evaluator:
 
     def eval(self, phi, env=None):
         env = dict(env or {})
-        _, _, free, rels, _, _ = plan = _plan(phi)
-        for v in free:
-            if v not in env:
-                raise EvalError(f"unbound variable {v!r}")
-        for name in rels:
-            if name not in self.s.relations:
-                raise EvalError(f"unknown relation {name!r}")
-        return _run(plan, env, self.s)
+        try:
+            _, _, free, rels, _, _ = plan = _plan(phi)
+            for v in free:
+                if v not in env:
+                    raise EvalError(f"unbound variable {v!r}")
+            for name in rels:
+                if name not in self.s.relations:
+                    raise EvalError(f"unknown relation {name!r}")
+            return _run(plan, env, self.s)
+        except RecursionError as exc:
+            raise EvalError(
+                f"formula nested too deeply to evaluate: {exc}") from None
 
 
 def eval_formula(structure, phi, env=None):

@@ -199,11 +199,12 @@ class MarkerStreamDecoder:
 
 
 def diagram_facts(h):
-    """The diagram of an undirected graph as a list of stream facts."""
-    facts = [("v", v) for v in h.universe]
-    seen = set()
-    for u, v in sorted(h.relations["E"]):
-        if (v, u) not in seen:
-            seen.add((u, v))
-            facts.append(("e", u, v))
-    return facts
+    """The diagram of an undirected graph as a list of stream facts: its
+    vertices, then each edge once, as ``(u, v)`` with u before v in
+    ``ident_key`` order, the edges in that order."""
+    order = sorted(h.universe, key=ident_key)
+    rank = {v: i for i, v in enumerate(order)}
+    edges = sorted((rank[u], rank[v]) for u, v in h.relations["E"]
+                   if rank[u] < rank[v])
+    return [("v", v) for v in h.universe] + \
+        [("e", order[i], order[j]) for i, j in edges]

@@ -151,6 +151,14 @@ class TestEvaluator:
         with pytest.raises(EvalError):
             eval_formula(path3(), Rel("E", ("x", "y")), {"x": 0})
 
+    def test_too_deep_to_evaluate_raises_eval_error(self):
+        phi = Rel("E", ("x", "x"))
+        for _ in range(5000):
+            phi = Not(phi)
+        with pytest.raises(EvalError, match="nested too deeply to evaluate"
+                           ".*recursion"):
+            eval_formula(path3(), phi, {"x": 0})
+
     def test_distinct_all(self):
         g = path3()
         phi = conj(distinct_all(("x", "y")))
@@ -407,6 +415,22 @@ class TestFormulaNodes:
         assert eval_formula(path3(), phi, {"x": 1, "y": 0}) is False
         assert phi.plan is plan
 
+    def test_equal_nodes_share_compiled_literals_and_steps(self):
+        def build():
+            return Exists(("y",), And((Rel("E", ("x", "w")),
+                                       Rel("E", ("x", "y")),
+                                       Or((Rel("E", ("y", "w")),
+                                           Eq("y", "w"))))))
+        a, b = build(), build()
+        assert a == b and a is not b
+        *_, pre_a, steps_a = _plan(a)
+        *_, pre_b, steps_b = _plan(b)
+        assert a.plan is not b.plan
+        (literal_a,), (literal_b,) = pre_a[0], pre_b[0]
+        assert literal_a is literal_b
+        (step_a,), (step_b,) = steps_a, steps_b
+        assert step_a is step_b
+
     def test_evaluator_holds_only_its_structure(self):
         s = path3()
         ev = Evaluator(s)
@@ -430,6 +454,29 @@ class TestJoinPlan:
         # a step with no clause checks its literals alone
         *_, (step,) = _plan(Exists(("y",), Eq("y", "y")))
         assert len(step[2]) == 1 and step[3] is None
+
+    @pytest.mark.parametrize("phi, checked", [
+        (Exists(("y",), And((Eq("y", "x"), Rel("E", ("y", "y"))))),
+         [[Eq("y", "x"), Rel("E", ("y", "y"))]]),
+        (Exists(("y", "z"), And((Eq("z", "x"), Eq("y", "z"),
+                                 Rel("E", ("y", "z"))))),
+         [[], [Eq("z", "x"), Eq("y", "z")]])])
+    def test_equalities_on_new_variables_are_literals(self, phi, checked):
+        # no step draws from an equality: y scans the universe, z draws
+        # from the E index, and each step checks its equalities in line
+        *_, steps = _plan(phi)
+        assert steps[0][1] is None
+        assert [set(step[2]) for step in steps] == \
+            [{_literal(a, True) for a in atoms} for atoms in checked]
+        rng = random.Random(5)
+        for n in range(4):
+            pairs = list(itertools.product(range(n), repeat=2))
+            for _ in range(10):
+                s = LoopedDigraph(range(n), rng.sample(
+                    pairs, rng.randrange(len(pairs) + 1)))
+                for x in s.universe:
+                    assert eval_formula(s, phi, {"x": x}) == \
+                        reference_eval(s, phi, {"x": x})
 
     def test_quantifiers_run_at_the_step_that_decides_them(self):
         g = Digraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses or
 defines a private top-level name it never uses, each module imports only
-the layers below it, and every function the benchmark's tracer wraps still
-exists where it looks for it."""
+the layers below it, every cache is inventoried, and every function the
+benchmark's tracer wraps still exists where it looks for it."""
 
 import ast
 import importlib
@@ -116,6 +116,70 @@ def test_modules_import_only_lower_layers():
     assert set(found) == set(LAYERS)
     assert {name: sorted(mods - LAYERS[name]) for name, mods in found.items()
             if LAYERS[name] is not None and not mods <= LAYERS[name]} == {}
+
+
+# module -> {function: maxsize} for every functools cache in the package.
+# A cache is kept only for traffic that pays for it: adding, removing or
+# resizing one is an edit here, with its measured reason in CHANGES.md.
+CACHES = {
+    "backforth": {"_place_facts": 256, "_literals": 256},
+    "core": {"_values_of": 1024, "_shared": 4096, "atom_places": 256},
+}
+
+
+def _cache_kind(node):
+    """``"lru_cache"`` or ``"cache"`` when an expression names one of them,
+    by name or as an attribute, else None."""
+    name = node.attr if isinstance(node, ast.Attribute) else \
+        getattr(node, "id", None)
+    return name if name in ("lru_cache", "cache") else None
+
+
+def caches(source):
+    """{function: maxsize} for each function decorated with a functools
+    cache: None when unbounded, 128 for a bare ``lru_cache``.  A cache made
+    by a call anywhere else is listed as ``"line N"`` with maxsize "?"."""
+    found, decorating = {}, set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            func = dec.func if isinstance(dec, ast.Call) else dec
+            kind = _cache_kind(func)
+            if kind is None:
+                continue
+            decorating.add(dec)
+            if dec is func:
+                found[node.name] = 128 if kind == "lru_cache" else None
+            else:
+                given = [k.value for k in dec.keywords if k.arg == "maxsize"]
+                given += dec.args
+                found[node.name] = ast.literal_eval(given[0]) if given else 128
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _cache_kind(node.func) and \
+                node not in decorating:
+            found[f"line {node.lineno}"] = "?"
+    return found
+
+
+def test_caches_detected():
+    src = ("import functools\nfrom functools import lru_cache, cache\n"
+           "@functools.lru_cache(maxsize=8)\ndef _a(x):\n    return x\n"
+           "@lru_cache(16)\ndef b(x):\n    return x\n"
+           "@functools.lru_cache\ndef c(x):\n    return x\n"
+           "@cache\ndef d(x):\n    return x\n"
+           "class K:\n    @functools.lru_cache(maxsize=None)\n"
+           "    def e(self):\n        return 1\n"
+           "f = functools.lru_cache(maxsize=4)(len)\n")
+    assert caches(src) == {"_a": 8, "b": 16, "c": 128, "d": None, "e": None,
+                           "line 19": "?"}
+
+
+def test_caches_are_inventoried():
+    found = {path.stem: caches(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == CACHES
 
 
 def test_traced_targets_resolve():

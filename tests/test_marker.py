@@ -158,9 +158,10 @@ class TestStream:
         rng = random.Random(19)
         for n in range(1, 6):
             for _ in range(4):
-                code = marker_encode(random_digraph(rng, n))
-                facts = [(f[0], *map(name, f[1:]))
-                         for f in diagram_facts(code.graph)]
+                h = marker_encode(random_digraph(rng, n)).graph
+                facts = diagram_facts(UGraph(
+                    map(name, h.vertices),
+                    [tuple(map(name, e)) for e in h.relations["E"]]))
                 rng.shuffle(facts)
                 dec, ref = MarkerStreamDecoder(), ReferenceStreamDecoder()
                 for fact in facts:
