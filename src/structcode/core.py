@@ -94,10 +94,10 @@ class Structure:
             tuples = self.relations[name]
             if t not in tuples:
                 tuples.add(t)
-                for (n, positions), idx in self._index.items():
+                for (n, positions, slot), idx in self._index.items():
                     if n == name:
-                        idx.setdefault(tuple([t[i] for i in positions]),
-                                       []).append(t)
+                        idx.setdefault(tuple([t[i] for i in positions]), []) \
+                            .append(t if slot is None else t[slot])
 
     def rel(self, name, args):
         try:
@@ -106,19 +106,22 @@ class Structure:
             raise EvalError(f"unknown relation {name!r}")
         return tuple(args) in tuples
 
-    def index(self, name, positions):
+    def index(self, name, positions, slot=None):
         """The tuples of relation ``name`` grouped by their values at
         ``positions`` (a tuple): a dict from value tuples to lists of
-        tuples, built on first use."""
-        idx = self._index.get((name, positions))
+        tuples, or of the tuples' values at ``slot`` when it is given (the
+        value lists the evaluator draws candidates from), built on first
+        use."""
+        idx = self._index.get((name, positions, slot))
         if idx is None:
             try:
                 tuples = self.relations[name]
             except KeyError:
                 raise EvalError(f"unknown relation {name!r}")
-            idx = self._index[name, positions] = {}
+            idx = self._index[name, positions, slot] = {}
             for t in tuples:
-                idx.setdefault(tuple([t[i] for i in positions]), []).append(t)
+                idx.setdefault(tuple([t[i] for i in positions]), []).append(
+                    t if slot is None else t[slot])
         return idx
 
     def matches(self, name, pattern):
@@ -331,11 +334,14 @@ def _conjuncts(phi, want, out):
     return out
 
 
-def _holds(test, env, s):
+def _holds(test, env, s, memo):
     """Check a compiled conjunction ``(literals, negated, rest)`` in the
     structure ``s``: every literal ``(getter, relation or None for =,
-    want)`` holds, no conjunction of ``negated`` holds, and each plan of a
-    quantifier ``(plan, want)`` of ``rest`` runs to ``want``."""
+    want)`` holds, no conjunction ``(literals, more)`` of ``negated`` holds
+    (its literals, then ``more``, None or a compiled conjunction without
+    literals), and each plan of a quantifier ``(plan, want)`` of ``rest``
+    runs to ``want``.  Literals are checked in line, as in ``_search``, so
+    a negated conjunction costs a call only once its literals all hold."""
     literals, negated, rest = test
     relations = s.relations
     for getter, name, want in literals:
@@ -343,28 +349,50 @@ def _holds(test, env, s):
         if (vals in relations[name] if name is not None
                 else vals[0] == vals[1]) != want:
             return False
-    for n in negated:
-        if _holds(n, env, s):
-            return False
+    for checks, more in negated:
+        for getter, name, want in checks:
+            vals = getter(env)
+            if (vals in relations[name] if name is not None
+                    else vals[0] == vals[1]) != want:
+                break
+        else:
+            if more is None or _holds(more, env, s, memo):
+                return False
     for plan, want in rest:
-        if _run(plan, env, s) != want:
+        if _run(plan, env, s, memo) != want:
             return False
     return True
 
 
-def _run(plan, env, s):
+def _run(plan, env, s, memo):
     """The truth in ``s`` of the formula of ``plan`` (see ``_plan``) under
-    ``env``, where its quantified variables shadow their outer bindings."""
-    forall, vs, _, _, pre, steps = plan
+    ``env``, where its quantified variables shadow their outer bindings.
+
+    A plan that two conjunctions hold (see ``_Holders``) keeps its verdict
+    for each value of its free variables in ``memo``, the dict of one
+    ``eval`` call.  Keying it by ``id(plan)`` is safe because the root plan
+    holds every nested plan until that call returns, so no other object
+    takes a plan's id while the memo lives."""
+    forall, vs, _, _, holders, pre, steps = plan
+    values = holders.values
+    if values is not None:
+        key = (id(plan), values(env))
+        found = memo.get(key)
+        if found is not None:
+            return found
     saved = None if env.keys().isdisjoint(vs) else \
         {v: env.pop(v) for v in vs if v in env}
-    found = _holds(pre, env, s) and _search(steps, 0, env, s)
+    found = (pre is None or _holds(pre, env, s, memo)) and \
+        _search(steps, 0, env, s, memo)
     if saved:
         env.update(saved)
-    return found != forall
+    found = found != forall
+    if values is not None:
+        memo[key] = found
+    return found
 
 
-def _search(steps, i, env, s):
+def _search(steps, i, env, s, memo):
     """Whether values for the variables of ``steps[i:]`` satisfy their
     checks; see ``_plan``."""
     if i == len(steps):
@@ -373,8 +401,8 @@ def _search(steps, i, env, s):
     if cand is None:
         values = s.universe
     else:
-        rel, positions, args, slot = cand
-        values = [t[slot] for t in s.index(rel, positions).get(args(env), ())]
+        rel, positions, slot, args = cand
+        values = s.index(rel, positions, slot).get(args(env), ())
     relations = s.relations
     for val in values:
         env[var] = val
@@ -384,8 +412,8 @@ def _search(steps, i, env, s):
                     else vals[0] == vals[1]) != want:
                 break
         else:
-            if (more is None or _holds(more, env, s)) and \
-                    _search(steps, i + 1, env, s):
+            if (more is None or _holds(more, env, s, memo)) and \
+                    _search(steps, i + 1, env, s, memo):
                 del env[var]
                 return True
     env.pop(var, None)
@@ -405,8 +433,9 @@ def _values_of(args):
 @functools.lru_cache(maxsize=4096)
 def _shared(part):
     """The one intern table of the plans: one object for equal compiled
-    literals and for equal steps, so that the plans kept on formula nodes
-    share them instead of holding copies."""
+    literals, for equal steps and for equal lists of free variables or
+    relations, so that the plans kept on formula nodes share them instead
+    of holding copies."""
     return part
 
 
@@ -439,7 +468,7 @@ def _free(phi, out, rels):
         for p in phi.parts:
             _free(p, out, rels)
     elif t is Exists or t is Forall:
-        _, _, free, used, _, _ = _plan(phi)
+        _, _, free, used, _, _, _ = _plan(phi)
         out.update(dict.fromkeys(free))
         rels.update(dict.fromkeys(used))
     else:
@@ -455,15 +484,42 @@ def _learn(known, literals):
             known.add((Eq(c.right, c.left), want))
 
 
+class _Plan(tuple):
+    """A compiled plan (see ``_plan``), a tuple that hashes and compares by
+    identity: interning a step that holds plans (``_shared``) then reads no
+    further than the plans.  By value, a hash walks the plans below once
+    per path, which doubles with each level of a chain of quantifiers that
+    are each held twice by the one above."""
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+
+
+class _Holders:
+    """The number of compiled conjunctions that hold a plan as a nested
+    quantifier, counted as they are compiled.  From the second on,
+    ``values`` reads the plan's free variables and ``_run`` memoises the
+    plan, since its holders can decide it for the same values: a
+    ``phi_tuple`` move formula sits under both the Exists and the Forall
+    of its level.  A plan with one holder pays nothing for the memo."""
+    __slots__ = ("count", "values")
+
+    def __init__(self):
+        self.count = 0
+        self.values = None
+
+
 def _compile(conjuncts, known):
     """The compiled conjunction ``(literals, negated, rest)`` of
     ``conjuncts`` (see ``_holds``), leaving out the literals in ``known``,
     which hold wherever it is checked.
 
     A literal is compiled by ``_literal``.  A junction conjunct holds when
-    the conjunction of its negated parts fails, so ``negated`` gets that
-    conjunction, compiled knowing this one's literals.  A quantifier ``c``
-    enters ``rest`` as its own plan ``_plan(c)``.
+    the conjunction of its negated parts fails, so that conjunction is
+    compiled knowing this one's literals, and enters ``negated`` split by
+    ``_split``.  A quantifier ``c`` enters ``rest`` as its own plan
+    ``_plan(c)``, one more holder of it.
     """
     literals, junctions, rest = [], [], []
     for c, want in conjuncts:
@@ -474,14 +530,26 @@ def _compile(conjuncts, known):
         elif t in _JUNCTIONS:
             junctions.append((c, want))
         else:
-            rest.append((_plan(c), want))
+            plan = _plan(c)
+            holders = plan[4]
+            holders.count += 1
+            if holders.count == 2:
+                holders.values = _values_of(plan[2])
+            rest.append((plan, want))
     if junctions and literals:
         known = set(known)
         _learn(known, literals)
     return (tuple(_literal(c, w) for c, w in literals),
-            tuple(_compile(_conjuncts(c, not w, []), known)
+            tuple(_split(_compile(_conjuncts(c, not w, []), known))
                   for c, w in junctions),
             tuple(rest))
+
+
+def _split(test):
+    """A compiled conjunction as ``(literals, more)``: its literals, which
+    are checked in line, and None or the conjunction without them."""
+    literals, negated, rest = test
+    return literals, ((), negated, rest) if negated or rest else None
 
 
 def _plan(phi):
@@ -490,18 +558,19 @@ def _plan(phi):
     satisfy the conjuncts of its body.  A node other than a quantifier runs
     as one over no variables, over its own conjuncts; ``_run`` runs it.
 
-    The plan is ``(forall, vars, free, rels, pre, steps)``.  ``free`` and
-    ``rels`` are the node's free variables and the relations it reads,
-    nested quantifiers included, as tuples in order of first occurrence.
-    ``pre`` is the compiled conjunction (see ``_compile``) of the conjuncts
-    the free variables decide.  ``steps`` binds the quantified variables in
-    order, each as ``(var, candidates, literals, more)``, where the
-    candidates are the whole universe (None) or the ``slot`` entries of a
-    relation index lookup (``(name, positions, getter, slot)``,
-    ``getter(env)`` giving the values at the bound ``positions``), and
-    ``literals`` and ``more`` (None, or a compiled conjunction without
-    literals) the conjuncts decided once ``var`` is bound.  An equality is
-    always a literal.
+    The plan is ``(forall, vars, free, rels, holders, pre, steps)``.
+    ``free`` and ``rels`` are the node's free variables and the relations
+    it reads, nested quantifiers included, as tuples in order of first
+    occurrence.  ``holders`` counts the conjunctions that hold the plan
+    (see ``_Holders``).  ``pre`` is None or the compiled conjunction (see
+    ``_compile``) of the conjuncts the free variables decide.  ``steps``
+    binds the quantified variables in order, each as ``(var, candidates,
+    literals, more)``, where the candidates are the whole universe (None)
+    or a value list of the structure's (``Structure.index`` with a slot),
+    read at ``(name, positions, slot, getter)``, ``getter(env)`` giving the
+    values at the bound ``positions``, and ``literals`` and ``more`` (None,
+    or a compiled conjunction without literals) the conjuncts decided once
+    ``var`` is bound.  An equality is always a literal.
 
     Every conjunct, literal, clause or quantifier, is checked at the step
     that binds its last free variable (selection pushdown), and compiled
@@ -535,7 +604,7 @@ def _plan(phi):
             args = c.args
             slot = args.index(todo[i])
             cands[i] = (c.name, tuple(j for j in range(len(args)) if j != slot),
-                        _values_of(args[:slot] + args[slot + 1:]), slot)
+                        slot, _values_of(args[:slot] + args[slot + 1:]))
             continue
         placed[i].append((c, want))
     tests = []
@@ -545,11 +614,10 @@ def _plan(phi):
         tests.append(_compile(placed[i], known))
         _learn(known, [(c, w) for c, w in placed[i] if type(c) in (Rel, Eq)])
     pre, *tests = tests
-    steps = tuple(_shared((var, cand, literals,
-                           ((), negated, rest) if negated or rest else None))
-                  for var, cand, (literals, negated, rest)
-                  in zip(todo, cands, tests))
-    plan = (forall, vs, tuple(free), tuple(rels), pre, steps)
+    steps = tuple(_shared((var, cand, *_split(test)))
+                  for var, cand, test in zip(todo, cands, tests))
+    plan = _Plan((forall, vs, _shared(tuple(free)), _shared(tuple(rels)),
+                  _Holders(), pre if any(pre) else None, steps))
     object.__setattr__(phi, "plan", plan)
     return plan
 
@@ -578,7 +646,10 @@ class Evaluator:
     the node (``plan``), shared by every evaluator and structure the
     formula meets.  Every node evaluated at the top or as a quantifier
     keeps its plan; the other nodes are compiled into those plans.  An
-    evaluator holds only its structure; it keeps no cache.
+    evaluator holds only its structure.  Each ``eval`` call keeps one memo
+    of the verdicts of the nested quantifiers that two conjunctions hold
+    (see ``_Holders``), dropped when the call returns or raises, so no
+    verdict outlives the call or sees the structure change.
     """
 
     def __init__(self, structure):
@@ -587,14 +658,14 @@ class Evaluator:
     def eval(self, phi, env=None):
         env = dict(env or {})
         try:
-            _, _, free, rels, _, _ = plan = _plan(phi)
+            _, _, free, rels, _, _, _ = plan = _plan(phi)
             for v in free:
                 if v not in env:
                     raise EvalError(f"unbound variable {v!r}")
             for name in rels:
                 if name not in self.s.relations:
                     raise EvalError(f"unknown relation {name!r}")
-            return _run(plan, env, self.s)
+            return _run(plan, env, self.s, {})
         except RecursionError as exc:
             raise EvalError(
                 f"formula nested too deeply to evaluate: {exc}") from None

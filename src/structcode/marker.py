@@ -154,12 +154,13 @@ class MarkerStreamDecoder:
         """The distance from ``seeds`` of each vertex within ``radius``."""
         dist = dict.fromkeys(seeds, 0)
         frontier = deque(seeds)
-        adj = self.g.index("E", (0,))
+        # the successor lists the evaluator's plans draw from as well
+        succ = self.g.index("E", (0,), 1)
         while frontier:
             v = frontier.popleft()
             if dist[v] == radius:
                 continue
-            for _, w in adj.get((v,), ()):
+            for w in succ.get((v,), ()):
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     frontier.append(w)

@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import random
 import signal
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,8 @@ from structcode.core import (And, BigAnd, BigOr, Digraph, Eq, EvalError,
                              iso_check, tuples_of_type, type_count,
                              type_from_index, type_start_index)
 from structcode.backforth import _atoms as atoms_over
-from structcode.backforth import _atomic_diagram, _place_facts, phi_tuple
+from structcode.backforth import (_atomic_diagram, _place_facts, bf_equiv,
+                                  phi_tuple)
 from structcode.formats import formula_to_sexpr, parse_formula
 from structcode import marker
 from structcode.marker import (base_point_formula, marker_decode,
@@ -356,6 +358,104 @@ def test_str_parses_back(phi):
 
 
 # ---------------------------------------------------------------------------
+# the memo of one eval call
+
+
+def _nested_plans(plan):
+    """Every plan that ``plan`` holds, at any depth, once each."""
+    seen, stack = {}, [plan]
+    while stack:
+        plan = stack.pop()
+        if id(plan) in seen:
+            continue
+        seen[id(plan)] = plan
+        _, _, _, _, _, pre, steps = plan
+        tests = [pre] if pre is not None else []
+        tests += [step[3] for step in steps if step[3] is not None]
+        while tests:
+            _, negated, rest = tests.pop()
+            tests += [more for _, more in negated if more is not None]
+            stack += [p for p, _ in rest]
+    return list(seen.values())
+
+
+def _memoised(phi):
+    return [p for p in _nested_plans(_plan(phi)) if p[4].count > 1]
+
+
+class TestMemo:
+    @pytest.mark.parametrize("n, graphs", [(4, 6), (5, 3)])
+    def test_shared_move_formulas_match_bf_equiv(self, n, graphs):
+        # the move formulas of each level sit under its Exists and its
+        # Forall, so the quantifiers in them are memoised
+        rng = random.Random(n)
+        pairs = list(itertools.permutations(range(n), 2))
+        verdicts = set()
+        for _ in range(graphs):
+            g = Digraph(range(n), rng.sample(pairs, rng.randrange(n, 2 * n)))
+            x = rng.randrange(n)
+            phi = phi_tuple(g, (x,), 2)
+            assert _memoised(phi)
+            perm = rng.sample(range(n), n)
+            copy = Digraph(range(n), [(perm[u], perm[v]) for u, v in g.edges])
+            other = Digraph(range(n), rng.sample(pairs, len(g.edges)))
+            for h, y in ((copy, perm[x]), (copy, rng.randrange(n)),
+                         (other, rng.randrange(n))):
+                want = bf_equiv(g, (x,), h, (y,), 2)
+                assert Evaluator(h).eval(phi, {"x1": y}) == want
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_no_verdict_outlives_its_eval_call(self):
+        # a directed 3-cycle and an isolated vertex; a is a 2-path that one
+        # more edge closes into such a cycle, which makes a verdict flip
+        g = Digraph(range(4), [(0, 2), (2, 3), (3, 0)])
+        phi = phi_tuple(g, (3,), 2)
+        assert _memoised(phi)
+        a = Digraph(range(4), [(0, 3), (3, 2)])
+        b = Digraph(range(4), [(1, 3), (3, 0), (0, 1)])
+        ev_a, ev_b = Evaluator(a), Evaluator(b)
+        answers = []
+        for ev, s, facts in ((ev_a, a, ()), (ev_b, b, ()),
+                             (ev_a, a, [("E", (2, 0))])):
+            s.add(facts=facts)
+            fresh = Evaluator(Digraph(s.universe, s.relations["E"]))
+            for x in s.universe:
+                got = ev.eval(phi, {"x1": x})
+                assert got == fresh.eval(phi, {"x1": x})
+                assert got == bf_equiv(g, (3,), s, (x,), 2)
+                answers.append(got)
+        assert answers == [False] * 4 + [True, True, False, True] + \
+            [True, False, True, True]
+
+    def test_eval_raising_part_way_leaves_no_state(self):
+        # a chain of quantifiers, each held twice by the one above it (once
+        # through a double negation), so every level is memoised; compiled
+        # from the inside out, so that only the search passes the recursion
+        # limit
+        depth = 600
+        chain = [Exists((f"y{depth}",), Rel("E", (f"y{depth - 1}",
+                                                  f"y{depth}")))]
+        for k in range(depth - 1, 0, -1):
+            y, inner = f"y{k}", chain[-1]
+            chain.append(Exists((y,), And((
+                Rel("E", ("x" if k == 1 else f"y{k - 1}", y)), inner,
+                Not(Not(inner))))))
+            _plan(chain[-1])
+        top, short = chain[-1], chain[2]
+        assert short.vars == (f"y{depth - 2}",) and _memoised(top)
+        cycle = Digraph(range(3), [(0, 1), (1, 2), (2, 0)])
+        ev = Evaluator(cycle)
+        with pytest.raises(EvalError, match="nested too deeply to evaluate"):
+            ev.eval(top, {"x": 0})
+        assert ev.eval(short, {f"y{depth - 3}": 0}) is True
+        path = Digraph(range(3), [(0, 1), (1, 2)])
+        assert Evaluator(path).eval(top, {"x": 0}) is False
+        assert Evaluator(path).eval(short, {f"y{depth - 3}": 0}) is False
+        assert Evaluator(cycle).eval(short, {f"y{depth - 3}": 1}) is True
+
+
+# ---------------------------------------------------------------------------
 # formula nodes and the plans kept on them
 
 NODE_TYPES = (Rel, Eq, Not, And, Or, BigAnd, BigOr, Exists, Forall)
@@ -444,13 +544,17 @@ class TestJoinPlan:
             return Or((Not(Rel("E", ("x", "x"))), Rel("E", vs)))
         body = And((clause("x", "x"), clause("y", "x"), clause("z", "y"),
                     Eq("y", "y")))
-        _, _, free, _, pre, (y_step, z_step) = _plan(Exists(("y", "z"), body))
+        _, _, free, _, _, pre, (y_step, z_step) = \
+            _plan(Exists(("y", "z"), body))
         assert free == ("x",)
         assert pre[0] == () and len(pre[1]) == 1 and pre[2] == ()
         for var, step in (("y", y_step), ("z", z_step)):
             assert step[0] == var
             literals, negated, rest = step[3]
             assert literals == () and len(negated) == 1 and rest == ()
+        # each clause is literals only, all checked in line: nothing more
+        for _, more in pre[1] + y_step[3][1] + z_step[3][1]:
+            assert more is None
         # a step with no clause checks its literals alone
         *_, (step,) = _plan(Exists(("y",), Eq("y", "y")))
         assert len(step[2]) == 1 and step[3] is None
@@ -497,7 +601,7 @@ class TestJoinPlan:
         g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
         leaf = next(p for p in phi_tuple(g, (0, 1), gamma).parts
                     if type(p) is Forall and p.vars == ("x3",))
-        _, _, free, _, _, (step,) = _plan(leaf)
+        _, _, free, _, _, _, (step,) = _plan(leaf)
         assert free == ("x1", "x2")
         # the plan checks x3 != x1 and x3 != x2 before the move's diagram,
         # which keeps only x1 != x2 of its distinctness prefix
@@ -510,8 +614,9 @@ class TestJoinPlan:
         assert _literal(Eq("x1", "x2"), False) in kept
         assert set(step[2]) == distinct
         if gamma == 1:
-            # a quantifier-free conjunct: checked at the step of x3
-            assert step[3] == ((), ((kept, (), ()),), ())
+            # a quantifier-free conjunct: checked at the step of x3, its
+            # literals in line with nothing more
+            assert step[3] == ((), ((kept, None),), ())
         else:
             # the move's level-1 formula has quantifiers, and is checked at
             # the step of x3 too: its diagram is compiled and checked before
@@ -520,8 +625,8 @@ class TestJoinPlan:
             (sub,) = [p for p in leaf.body.parts if type(p) is BigAnd]
             assert sub.parts[0] == move
             assert step[3][0] == () and step[3][2] == ()
-            (literals, negated, rest), = step[3][1]
-            assert literals == kept and negated == ()
+            (literals, (none, negated, rest)), = step[3][1]
+            assert literals == kept and none == () and negated == ()
             assert rest and len(rest) == len(sub.parts) - 1
             for (plan, want), p in zip(rest, sub.parts[1:]):
                 assert want is True
@@ -541,6 +646,27 @@ class TestAdd:
         assert s.universe == (0, 1)
         assert s.index("E", (0,)) == {(0,): [(0, 1)]}
         assert s.matches("E", (None, 1)) == [(0, 1)]
+        # and the value lists a plan step draws its candidates from: the
+        # values at one slot, grouped by the values at the bound positions
+        keys = [("E", (0,), 1), ("E", (1,), 0), ("T", (0, 2), 1),
+                ("T", (), 2), ("T", (1,), 0)]
+        s = Structure([0], {"E": 2, "T": 3}, {"E": [(0, 0)]})
+        assert s.index("E", (0,), 1) == {(0,): [0]}
+        for key in keys:
+            s.index(*key)
+        s.add([1, "a", 0], [("E", (0, 1)), ("E", ["a", 0]), ("E", (0, 1)),
+                            ("T", (0, "a", 1)), ("T", (0, 1, 1))])
+        s.add(["b"], [("T", ("b", "a", 1)), ("E", ("b", "b"))])
+        assert s.index("E", (0,), 1)[0,] == [0, 1]
+        batch = Structure(s.universe, s.signature, s.relations)
+        assert s.relations == batch.relations
+        for key in keys:
+            grown, built = s.index(*key), batch.index(*key)
+            assert {k: Counter(v) for k, v in grown.items()} == \
+                {k: Counter(v) for k, v in built.items()}
+        # a slot's value repeats once per tuple that has it
+        assert sorted(s.index("T", (), 2)[()]) == [1, 1, 1]
+        assert s.index("T", (0, 2), 1)[0, 1] in (["a", 1], [1, "a"])
 
     @pytest.mark.parametrize("elements, facts", [
         ((2,), [("E", (0, 1)), ("F", (0, 1))]),   # unknown relation

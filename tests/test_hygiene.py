@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses or
 defines a private top-level name it never uses, each module imports only
-the layers below it, every cache is inventoried, and every function the
-benchmark's tracer wraps still exists where it looks for it."""
+the layers below it, every cache and every module-level mutable container
+is inventoried, and every function the benchmark's tracer wraps still
+exists where it looks for it."""
 
 import ast
 import importlib
@@ -180,6 +181,69 @@ def test_caches_are_inventoried():
     found = {path.stem: caches(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == CACHES
+
+
+# module -> the names it binds at its top level to a mutable container.
+# Each is a constant table; a memo or a reference count kept at module level
+# would outlive the calls that fill it, so adding one is an edit here, with
+# its reason in CHANGES.md.
+CONTAINERS = {
+    "cli": {"HANDLERS"},
+    "core": {"_SPLICED"},
+}
+
+_CONTAINER_CALLS = ("dict", "set", "list", "Counter", "defaultdict",
+                    "OrderedDict")
+
+
+def _is_container(node):
+    """Whether an expression makes a dict, set or list: a display, a
+    comprehension, or a call of one of ``_CONTAINER_CALLS``, by name or as
+    an attribute."""
+    if isinstance(node, (ast.Dict, ast.Set, ast.List, ast.DictComp,
+                         ast.SetComp, ast.ListComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        return name in _CONTAINER_CALLS
+    return False
+
+
+def module_containers(source):
+    """The names a module binds, in a statement at its top level, to a
+    mutable container (see ``_is_container``)."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if _is_container(node.value):
+            found.update(n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name))
+    return found
+
+
+def test_module_containers_detected():
+    src = ("import collections\nfrom collections import Counter\n"
+           "_memo = {}\n_seen = set()\n_refs = Counter()\n"
+           "_parents = collections.defaultdict(int)\nA = B = []\n"
+           "_table: dict = {k: k for k in 'ab'}\n"
+           "KEEP = (1, 2)\nNAMES = frozenset({'a'})\n"
+           "def f():\n    local = {}\n    return local\n"
+           "class K:\n    attr = []\n")
+    assert module_containers(src) == {"_memo", "_seen", "_refs", "_parents",
+                                      "A", "B", "_table"}
+
+
+def test_module_containers_are_inventoried():
+    found = {path.stem: module_containers(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == CONTAINERS
 
 
 def test_traced_targets_resolve():
