@@ -15,7 +15,9 @@ every level.  For gamma >= 1, ~gamma therefore holds exactly when some
 isomorphism sends atup to btup, and ``bf_equiv`` decides it by one
 ``iso_check`` whose search starts with the tuple pairs.  The levels
 collapse only because the structures are finite and the bound covers
-them; for infinite structures they do not.
+them; for infinite structures they do not.  ``distinguishing_move`` names
+the first unanswered move; at level 1 that is the first move whose
+existential formula fails on the other side, as ``core.Evaluator`` finds.
 
 ``phi_tuple`` and ``phi_pair`` generate the level-tagged formulas whose
 truth reproduces the game verdict: the tuple formula is specific to one
@@ -30,54 +32,16 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .core import (BigAnd, BigOr, Eq, Exists, FinLinOrder, Forall, Not, Or,
-                   PreconditionError, Rel, _values_of, atom_places, conj, disj,
+from .core import (BigAnd, BigOr, Eq, Evaluator, Exists, FinLinOrder, Forall,
+                   Not, Or, PreconditionError, Rel, atom_places, conj, disj,
                    fingerprint, iso_check)
 
 
 # ---------------------------------------------------------------------------
-# game: verdicts by isomorphism, witnesses by matching extensions
+# game: verdicts by isomorphism, witnesses by the evaluator
 
 
-@functools.lru_cache(maxsize=256)
-def _place_facts(signature, i):
-    """(name, argument getter) for each relation fact that reads place i
-    and no later place; ``signature`` is a sorted tuple of (name, arity)."""
-    return tuple((name, _values_of(pos))
-                 for name, places in atom_places(signature, i + 1)
-                 for pos in places if i in pos)
-
-
-def _matching_extensions(a, atup, ext, b, btup):
-    """All tuples d over b with fingerprint(b, btup+d) = fingerprint(a, atup+ext),
-    for tuples atup and btup that agree on every atomic fact and a move ext
-    of distinct elements outside atup.
-
-    Candidates are distinct elements outside btup, added place by place and
-    checked against the facts that read their place last.
-    """
-    full = atup + ext
-    signature = tuple(sorted(a.signature.items()))
-
-    def rec(row):
-        i = len(row)
-        if i == len(full):
-            yield row[len(btup):]
-            return
-        facts = [(name, get, a.rel(name, get(full)))
-                 for name, get in _place_facts(signature, i)]
-        for c in b.universe:
-            if c in row:
-                continue
-            ext_row = row + (c,)
-            if all(b.rel(name, get(ext_row)) == want
-                   for name, get, want in facts):
-                yield from rec(ext_row)
-
-    yield from rec(btup)
-
-
-def _check_level(gamma):
+def check_level(gamma):
     if gamma < 0:
         raise PreconditionError(f"level {gamma} is negative")
 
@@ -93,7 +57,7 @@ def bf_equiv(a, atup, b, btup, gamma, bound=None):
     isomorphism sending atup to btup at every level >= 1.  A ``bound``
     below either universe's size is rejected."""
     atup, btup = tuple(atup), tuple(btup)
-    _check_level(gamma)
+    check_level(gamma)
     if a.signature != b.signature:
         raise PreconditionError("structures must have the same signature")
     if len(atup) != len(btup):
@@ -118,13 +82,15 @@ def distinguishing_move(a, atup, b, btup, gamma, bound=None):
     ``repr``.  Sorted distinct fresh tuples suffice: permuted moves are
     answered by the permuted response, repeats and old elements are
     mirrored, and a surplus of fresh elements on one side shows as a longer
-    move from that side with no matching extension.
+    move from that side with no response.
 
-    At gamma 1 a response need only match atomic facts.  At gamma >= 2 it
-    would be an isomorphism extending the tuples, which the verdict rules
-    out, so the first move is unanswered.  A side without fresh elements
-    has no move; when neither has one, atup -> btup is itself an
-    isomorphism, so a negative verdict always has a move.
+    At gamma 1 a response need only match atomic facts: the witness is the
+    first move whose ``_move_formula`` the evaluator finds false at the
+    other side's tuple.  At gamma >= 2 a response would be an isomorphism
+    extending the tuples, which the verdict rules out, so the first move is
+    unanswered.  A side without fresh elements has no move; when neither
+    has one, atup -> btup is itself an isomorphism, so a negative verdict
+    always has a move.
     """
     atup, btup = tuple(atup), tuple(btup)
     if bf_equiv(a, atup, b, btup, gamma, bound):
@@ -132,13 +98,15 @@ def distinguishing_move(a, atup, b, btup, gamma, bound=None):
     fa, fb = fingerprint(a, atup), fingerprint(b, btup)
     if fa != fb:
         return ("atomic", fa, fb)
+    signature, n = tuple(sorted(a.signature.items())), len(atup)
     for side, src, st, dst, dt in (("a", a, atup, b, btup),
                                    ("b", b, btup, a, atup)):
         fresh = sorted(src.universe_set.difference(st), key=repr)
+        ev, env = Evaluator(dst), {_var(i): x for i, x in enumerate(dt)}
         for ln in range(1, len(fresh) + 1):
             for move in itertools.combinations(fresh, ln):
-                if gamma >= 2 or next(_matching_extensions(
-                        src, st, move, dst, dt), None) is None:
+                if gamma >= 2 or not ev.eval(_move_formula(
+                        signature, n, fingerprint(src, st + move)), env):
                     return side, move
 
 
@@ -168,14 +136,30 @@ def _literals(signature, n):
                  _atoms(dict(signature), [_var(i) for i in range(n)]))
 
 
-def _atomic_diagram(struct, tup):
-    """Quantifier-free diagram of a tuple over variables x1, x2, ...: each
-    atom of ``_atoms`` or its negation, as ``fingerprint`` decides."""
-    eq, rels = fingerprint(struct, tup)
+def _diagram(signature, fp):
+    """Quantifier-free diagram of a fingerprint over variables x1, x2, ...:
+    each atom of ``_atoms`` or its negation, as ``fp`` decides."""
+    eq, rels = fp
     holds = [x == y for x, y in itertools.combinations(eq, 2)]
     holds += [bit for _, bits in rels for bit in bits]
-    lits = _literals(tuple(sorted(struct.signature.items())), len(tup))
+    lits = _literals(signature, len(eq))
     return conj(lit[not h] for lit, h in zip(lits, holds))
+
+
+def _atomic_diagram(struct, tup):
+    """The diagram of a tuple's fingerprint (see ``_diagram``)."""
+    return _diagram(tuple(sorted(struct.signature.items())),
+                    fingerprint(struct, tup))
+
+
+@functools.lru_cache(maxsize=512)
+def _move_formula(signature, n, fp):
+    """Exists x(n+1) ... x(m). the diagram of ``fp``, the fingerprint of an
+    m-tuple: true at the first n entries of a tuple with fingerprint ``fp``.
+    Built once per fingerprint, so equal moves share one node and one
+    compiled plan."""
+    return Exists(tuple(_var(i) for i in range(n, len(fp[0]))),
+                  _diagram(signature, fp))
 
 
 def phi_tuple(struct, tup, gamma, bound=None):
@@ -184,7 +168,7 @@ def phi_tuple(struct, tup, gamma, bound=None):
     Evaluating it at a tuple of any structure in the same signature agrees
     with ``bf_equiv`` against (struct, tup).
     """
-    _check_level(gamma)
+    check_level(gamma)
     tup = tuple(tup)
     _check_entries(struct, tup)
     if bound is None:
@@ -228,7 +212,7 @@ def phi_pair(signature, n, gamma, bound):
     """Uniform formula: a structure satisfies it at (x-tuple, y-tuple) of
     length n each exactly when the two tuples are ~gamma there.
     """
-    _check_level(gamma)
+    check_level(gamma)
     if n < 0 or bound < 0:
         raise PreconditionError(f"length {n} or move bound {bound} is negative")
 
@@ -270,7 +254,7 @@ def interval_equiv(a, atup, b, btup, gamma):
     isomorphism then exists, see ``bf_equiv``), so an interval's verdict
     compares the sizes.
     """
-    _check_level(gamma)
+    check_level(gamma)
     atup, btup = tuple(atup), tuple(btup)
     if len(atup) != len(btup):
         raise PreconditionError("tuples must have equal length")

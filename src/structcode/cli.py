@@ -108,7 +108,7 @@ def _tuple_arg(g, raw):
 
 
 def _vertex_tuple(ids):
-    return tuple(formats._ident(t) for t in ids.split(",") if t != "")
+    return tuple(formats.parse_ident(t) for t in ids.split(",") if t != "")
 
 
 def _shape_payload(s):

@@ -111,7 +111,9 @@ class Structure:
         ``positions`` (a tuple): a dict from value tuples to lists of
         tuples, or of the tuples' values at ``slot`` when it is given (the
         value lists the evaluator draws candidates from), built on first
-        use."""
+        use.  A value list lists a value once per tuple that has it; the
+        evaluator's lists are over every position but ``slot``, so they
+        never repeat a value."""
         idx = self._index.get((name, positions, slot))
         if idx is None:
             try:

@@ -23,7 +23,7 @@ from .denseq import Dyadic
 from .interp import InterpretationSpec
 
 
-def _ident(tok):
+def parse_ident(tok):
     try:
         return int(tok)
     except ValueError:
@@ -42,15 +42,15 @@ def parse_struct_text(text):
         if tag == "v":
             if len(args) != 1:
                 raise MalformedInputError(f"line {ln}: v takes one identifier")
-            vertices.append(_ident(args[0]))
+            vertices.append(parse_ident(args[0]))
         elif tag == "e":
             if len(args) != 2:
                 raise MalformedInputError(f"line {ln}: e takes two identifiers")
-            edges.append((_ident(args[0]), _ident(args[1])))
+            edges.append((parse_ident(args[0]), parse_ident(args[1])))
         elif tag == "o":
             if order is not None:
                 raise MalformedInputError(f"line {ln}: repeated o line")
-            order = [_ident(a) for a in args]
+            order = [parse_ident(a) for a in args]
         else:
             raise MalformedInputError(f"line {ln}: unknown record {tag!r}")
     return vertices, edges, order

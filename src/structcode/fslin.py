@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .core import (And, Eq, Exists, Forall, MalformedInputError, Not,
                    Or, PreconditionError, Rel, atomic_type_of, conj, disj,
                    type_start_index)
-from .backforth import _check_level, bf_equiv
+from .backforth import bf_equiv, check_level
 from .denseq import ColorOrderMap, Dyadic, between, color, index_points
 
 
@@ -429,7 +429,7 @@ def lg_certify(g, t1, t2, gamma):
     sizes (level >= 1) or by positional block sizes (level >= 2); Unknown
     otherwise.
     """
-    _check_level(gamma)
+    check_level(gamma)
     t1, t2 = tuple(t1), tuple(t2)
     if len(t1) != len(t2):
         raise PreconditionError("tuples must have equal length")
@@ -455,7 +455,7 @@ def lg_concat_certify(g, pair1, pair2, gamma):
     Equivalent and a length-2 element exists between the halves on both
     sides; it is never Distinguished.
     """
-    _check_level(gamma)
+    check_level(gamma)
     (b1, b2), (c1, c2) = pair1, pair2
     for left, right in ((b1, b2), (c1, c2)):
         if not (left and right):

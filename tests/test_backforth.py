@@ -1,15 +1,17 @@
 """Bounded equivalence games, defining formulas, interval reduction, certificates."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
-from structcode.backforth import (_matching_extensions, bf_equiv,
+from structcode.backforth import (_move_formula, bf_equiv,
                                   distinguishing_move, fingerprint,
                                   interval_equiv, phi_pair, phi_tuple)
 from structcode.core import (Digraph, Evaluator, FinLinOrder, LoopedDigraph,
-                             PreconditionError, classify, eval_formula)
+                             PreconditionError, _plan, _values_of,
+                             atom_places, classify, eval_formula)
 from structcode.denseq import Dyadic
 from structcode.fslin import (Certificate, fs_element, fs_enumerate,
                               lg_certify, lg_concat_certify, shape,
@@ -109,6 +111,47 @@ def answered(a, at, b, bt, side, move, gamma):
         if side == "b" and bf_equiv(a, at + resp, b, bt + move, gamma):
             return True
     return False
+
+
+# The reference game's response generator: the backtracking join that
+# answered level-1 moves before the evaluator did.
+
+@functools.lru_cache(maxsize=256)
+def _place_facts(signature, i):
+    """(name, argument getter) for each relation fact that reads place i
+    and no later place; ``signature`` is a sorted tuple of (name, arity)."""
+    return tuple((name, _values_of(pos))
+                 for name, places in atom_places(signature, i + 1)
+                 for pos in places if i in pos)
+
+
+def _matching_extensions(a, atup, ext, b, btup):
+    """All tuples d over b with fingerprint(b, btup+d) = fingerprint(a, atup+ext),
+    for tuples atup and btup that agree on every atomic fact and a move ext
+    of distinct elements outside atup.
+
+    Candidates are distinct elements outside btup, added place by place and
+    checked against the facts that read their place last.
+    """
+    full = atup + ext
+    signature = tuple(sorted(a.signature.items()))
+
+    def rec(row):
+        i = len(row)
+        if i == len(full):
+            yield row[len(btup):]
+            return
+        facts = [(name, get, a.rel(name, get(full)))
+                 for name, get in _place_facts(signature, i)]
+        for c in b.universe:
+            if c in row:
+                continue
+            ext_row = row + (c,)
+            if all(b.rel(name, get(ext_row)) == want
+                   for name, get, want in facts):
+                yield from rec(ext_row)
+
+    yield from rec(btup)
 
 
 class _ReferenceGame:
@@ -230,7 +273,9 @@ def test_game_matches_reference():
 class TestMatchingExtensions:
     def test_matches_brute_force(self):
         """Every move of distinct fresh elements is answered by exactly the
-        tuples whose fingerprint matches, in ``itertools.product`` order."""
+        tuples whose fingerprint matches, in ``itertools.product`` order,
+        and the evaluator finds ``_move_formula`` true exactly when such a
+        tuple exists."""
         rng = random.Random(5)
 
         def looped_digraph():
@@ -240,7 +285,7 @@ class TestMatchingExtensions:
                                             for j in range(n)
                                             if rng.random() < p])
 
-        pairs = 0
+        pairs, verdicts, sig = 0, set(), (("E", 2),)
         for _ in range(40):
             a, b = looped_digraph(), looped_digraph()
             if rng.random() < 0.5:
@@ -252,6 +297,7 @@ class TestMatchingExtensions:
                     if not bts:
                         continue
                     bt = rng.choice(bts)
+                    env = {f"x{i + 1}": x for i, x in enumerate(bt)}
                     pairs += 1
                     fresh = [x for x in a.universe if x not in at]
                     for ln in range(1, len(fresh) + 1):
@@ -262,7 +308,23 @@ class TestMatchingExtensions:
                                 if fingerprint(b, bt + r) == want]
                             assert list(_matching_extensions(
                                 a, at, move, b, bt)) == expect
+                            phi = _move_formula(sig, k, want)
+                            assert Evaluator(b).eval(phi, env) == bool(expect)
+                            verdicts.add(bool(expect))
         assert pairs >= 100
+        assert verdicts == {False, True}
+
+    def test_equal_fingerprints_share_one_formula(self):
+        g = Digraph(range(5), [(0, 1), (1, 2), (3, 4), (0, 3)])
+        sig = tuple(sorted(g.signature.items()))
+        # at the tuple (0,), the moves 1 and 3 are out-neighbours of 0 and
+        # 2 is not
+        f1, f2, f3 = [_move_formula(sig, 1, fingerprint(g, (0, m)))
+                      for m in (1, 3, 2)]
+        assert f1 is f2 and _plan(f1) is _plan(f2)
+        assert f3 is not f1
+        assert Evaluator(g).eval(f1, {"x1": 3}) and \
+            not Evaluator(g).eval(f1, {"x1": 4})
 
 
 class TestPreconditions:

@@ -20,8 +20,7 @@ from structcode.core import (And, BigAnd, BigOr, Digraph, Eq, EvalError,
                              iso_check, tuples_of_type, type_count,
                              type_from_index, type_start_index)
 from structcode.backforth import _atoms as atoms_over
-from structcode.backforth import (_atomic_diagram, _place_facts, bf_equiv,
-                                  phi_tuple)
+from structcode.backforth import _atomic_diagram, bf_equiv, phi_tuple
 from structcode.formats import formula_to_sexpr, parse_formula
 from structcode import marker
 from structcode.marker import (base_point_formula, marker_decode,
@@ -596,6 +595,29 @@ class TestJoinPlan:
                          for y in g.universe for z in g.universe)
             assert eval_formula(g, phi, {"x": x}) == expect
 
+    def test_step_value_lists_never_repeat(self):
+        # a step's candidates bind every position but the slot, and a
+        # relation is a set, so no value list they read repeats a value
+        rng = random.Random(3)
+        triples = list(itertools.product(range(4), repeat=3))
+        s = Structure(range(4), {"T": 3}, {"T": rng.sample(triples, 40)})
+        for args in (("y", "x", "z"), ("x", "y", "z"), ("x", "z", "y"),
+                     ("x", "y", "x")):
+            phi = Exists(("y",), Rel("T", args))
+            *_, (step,) = _plan(phi)
+            name, positions, slot, _ = step[1]
+            assert slot == args.index("y")
+            assert positions == tuple(j for j in range(3) if j != slot)
+            lists = s.index(name, positions, slot).values()
+            assert all(len(v) == len(set(v)) for v in lists)
+            for x, z in itertools.product(s.universe, repeat=2):
+                env = {"x": x, "z": z}
+                assert eval_formula(s, phi, env) == \
+                    reference_eval(s, phi, env)
+        # a direct call over fewer positions lists a value once per tuple
+        assert any(len(v) > len(set(v))
+                   for v in s.index("T", (0,), 2).values())
+
     @pytest.mark.parametrize("gamma", [1, 2])
     def test_negated_move_diagrams_skip_implied_distinctness(self, gamma):
         g = Digraph([0, 1, 2], [(0, 1), (1, 2)])
@@ -935,13 +957,6 @@ class TestAtomicFacts:
             truth += [bit for _, bits in rels for bit in bits]
             assert [type(lit) is not Not for lit in lits] == truth
 
-    def test_place_facts_split_atom_places_by_last_place(self):
-        places = tuple(range(3))
-        for i in places:
-            got = [(name, get(places)) for name, get in _place_facts(self.SIG, i)]
-            assert got == [(name, pos)
-                           for name, ps in atom_places(self.SIG, 3)
-                           for pos in ps if pos and max(pos) == i]
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,59 @@ def test_package_has_no_unused_private_names():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _package_module(node):
+    """The package module an ``ImportFrom`` reads from, "structcode" for
+    the package itself, or None for another package's."""
+    if node.level:
+        return node.module or "structcode"
+    module = node.module or ""
+    if module == "structcode" or module.startswith("structcode."):
+        return module.split(".")[-1]
+    return None
+
+
+def private_reads(source):
+    """(line, module, name) for each private name (``_x``, not dunders) of
+    another package module that a module imports, or reads as an attribute
+    of a package module it imported by name."""
+    tree = ast.parse(source)
+    modules, found = {}, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = _package_module(node)
+        for alias in node.names if module else ():
+            if module == "structcode":
+                modules[alias.asname or alias.name] = alias.name
+            if _is_private(alias.name):
+                found.append((node.lineno, module, alias.name))
+    found += [(node.lineno, modules[node.value.id], node.attr)
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _is_private(node.attr)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    return sorted(found)
+
+
+def test_private_reads_detected():
+    src = ("from .core import _a, b\nfrom . import formats as f\n"
+           "from structcode.marker import _d\nimport os\n"
+           "from os import _exit\n"
+           "def g():\n    f._c()\n    self._e\n    b._g\n    f.__doc__\n")
+    assert private_reads(src) == [(1, "core", "_a"), (3, "marker", "_d"),
+                                  (7, "formats", "_c")]
+
+
+def test_package_reads_no_private_names_of_other_modules():
+    found = {path.name: private_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
 # module -> the package modules it may import; None for any
 LAYERS = {
     "__init__": set(),
@@ -123,7 +176,7 @@ def test_modules_import_only_lower_layers():
 # A cache is kept only for traffic that pays for it: adding, removing or
 # resizing one is an edit here, with its measured reason in CHANGES.md.
 CACHES = {
-    "backforth": {"_place_facts": 256, "_literals": 256},
+    "backforth": {"_move_formula": 512, "_literals": 256},
     "core": {"_values_of": 1024, "_shared": 4096, "atom_places": 256},
 }
 
