@@ -1,8 +1,9 @@
-"""Source hygiene: no module of the package imports a name it never uses or
-defines a private top-level name it never uses, each module imports only
-the layers below it, every cache and every module-level mutable container
-is inventoried, and every function the benchmark's tracer wraps still
-exists where it looks for it."""
+"""Source hygiene: no module of the package imports a name it never uses,
+defines a private top-level name it never uses or reads a private name of
+another package module, each module imports only the layers below it,
+every cache and every module-level mutable container is inventoried, and
+every function the benchmark's tracer wraps still exists where it looks
+for it."""
 
 import ast
 import importlib
